@@ -28,7 +28,8 @@ event buffers to :class:`~repro.machine.sinks.TraceSink` consumers in
 bounded NumPy chunks: the generated scalar-tier code checks the buffer
 level at every loop-iteration boundary and drains through the sinks, and
 block-tier loops hand their event matrices to the same flush machinery as
-ready-made int64 chunks.
+ready-made int64 arrays. Memory events from both tiers are coalesced into
+full ``chunk_events`` chunks before they reach the sink.
 
 Cost accounting model (documented in DESIGN.md):
 
@@ -846,12 +847,17 @@ class CompiledProgram:
         chunks. The caller owns the sinks' lifecycle and calls their
         ``finish()`` afterwards.
 
-        Scalar-tier chunks are at most ``chunk_events`` plus the events
-        of one innermost loop iteration (the guard sits at iteration
-        boundaries). A block-tier loop entry materializes its own events
-        as one ``trip * events_per_iteration`` matrix, flushes any
-        pending scalar-tier events first (order is preserved), then feeds
-        the matrix through the sinks in ``chunk_events``-sized slices.
+        Memory chunks are coalesced across both tiers: scalar-tier
+        buffers (drained at iteration boundaries once ``chunk_events``
+        events are pending) and block-tier loop entries (one
+        ``trip * events_per_iteration`` matrix each) queue up in program
+        order, and ``memory_sink`` only ever receives ``chunk_events``-long
+        slices of that queue, plus one shorter final chunk at the end of
+        the run. A run with ``E`` memory events therefore feeds exactly
+        ``ceil(E / chunk_events)`` memory chunks, and the queue holds at
+        most ``chunk_events`` events plus one block matrix and one scalar
+        buffer. Branch chunks (scalar tier only) are at most
+        ``chunk_events`` plus the events of one innermost loop iteration.
         """
         if not self.trace:
             raise ExecutionError("run_streaming() needs a traced program (trace=True)")
@@ -860,30 +866,60 @@ class CompiledProgram:
         exts, storage = self._prepare(params, inputs)
         mem: list[int] = []
         bra: list[int] = []
+        # Memory events not yet fed, in program order; always fewer than
+        # `chunk_events` between calls of `queue`.
+        pending: list[np.ndarray] = []
+        held = 0
 
-        def flush() -> None:
+        def queue(events: np.ndarray) -> None:
+            """Append events; feed every full `chunk_events` slice."""
+            nonlocal held
+            pending.append(events)
+            held += len(events)
+            if held < chunk_events:
+                return
+            # Only the first chunk straddles queued arrays; the rest are
+            # views of the newest one (block matrices are fresh arrays).
+            newest = pending.pop()
+            cut = chunk_events - (held - len(newest))
+            first = newest[:cut]
+            if pending:
+                first = np.concatenate((*pending, first))
+                pending.clear()
+            feed = memory_sink.feed
+            feed(first)
+            rest = newest[cut:]
+            full = len(rest) - len(rest) % chunk_events
+            for off in range(0, full, chunk_events):
+                feed(rest[off : off + chunk_events])
+            held = len(rest) - full
+            if held:
+                pending.append(rest[full:].copy())
+
+        def drain_scalar() -> None:
             if mem:
                 if memory_sink is not None:
-                    memory_sink.feed(np.asarray(mem, dtype=np.int64))
+                    queue(np.asarray(mem, dtype=np.int64))
                 mem.clear()
+
+        def flush() -> None:
+            drain_scalar()
             if bra:
                 if branch_sink is not None:
                     branch_sink.feed(np.asarray(bra, dtype=np.int64))
                 bra.clear()
 
         def emit_vec(chunk: np.ndarray) -> None:
-            if mem:
-                if memory_sink is not None:
-                    memory_sink.feed(np.asarray(mem, dtype=np.int64))
-                mem.clear()
-            if memory_sink is not None:
-                for off in range(0, len(chunk), chunk_events):
-                    memory_sink.feed(chunk[off : off + chunk_events])
+            drain_scalar()
+            if memory_sink is not None and len(chunk):
+                queue(chunk)
 
         counters, scalars = self._execute(
             params, exts, storage, mem, bra, chunk_events, flush, emit_vec
         )
         flush()  # tail events after the last loop boundary
+        if pending:
+            memory_sink.feed(np.concatenate(pending))
         return self._result(exts, storage, counters, scalars, trace=None)
 
 

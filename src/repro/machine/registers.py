@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MachineError
+from repro.machine.window import lru_window
 
 #: Element granularity (doubles).
 ELEMENT_SHIFT = 3
@@ -45,43 +46,39 @@ class RegisterFilterSink:
 
     ``feed`` returns the chunk's keep mask (``True`` where the access goes
     to memory) so the fused pipeline can filter the address stream before
-    the cache hierarchy; the window itself persists across chunks. A tiny
-    window (32 registers) touched once per access keeps the plain-dict
-    walk competitive with any vectorized formulation.
+    the cache hierarchy; the window itself persists across chunks as its
+    resident elements in LRU→MRU order. Each chunk is replayed by the
+    vectorized :func:`~repro.machine.window.lru_window`, whose cost per
+    access is a few NumPy passes however long the chunk;
+    :func:`filter_loads_reference` is the per-access oracle it is tested
+    against.
     """
 
     def __init__(self, capacity: int = 32):
         if capacity < 0:
             raise MachineError("register capacity must be non-negative")
         self.capacity = capacity
-        self._window: OrderedDict[int, None] = OrderedDict()
+        self._resident = np.empty(0, dtype=np.int64)
         self._hits = 0
 
     def feed(self, chunk: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Filter one chunk; returns its boolean to-memory mask."""
-        addresses, is_write = chunk
-        n = len(addresses)
-        if self.capacity == 0 or n == 0:
-            return np.ones(n, dtype=bool)
-        elements = (np.asarray(addresses) >> ELEMENT_SHIFT).tolist()
-        writes = np.asarray(is_write).astype(bool).tolist()
-        window = self._window
-        capacity = self.capacity
-        keep = [True] * n
-        hits = 0
-        for pos, elem in enumerate(elements):
-            resident = elem in window
-            if resident:
-                window.move_to_end(elem)
-            else:
-                window[elem] = None
-                if len(window) > capacity:
-                    window.popitem(last=False)
-            if resident and not writes[pos]:
-                keep[pos] = False
-                hits += 1
-        self._hits += hits
-        return np.asarray(keep, dtype=bool)
+        addresses, is_write = (np.asarray(a) for a in chunk)
+        if addresses.ndim != 1 or is_write.ndim != 1:
+            raise MachineError("register filter needs 1-D addresses and is_write")
+        if len(addresses) != len(is_write):
+            raise MachineError(
+                f"register filter got {len(addresses)} addresses "
+                f"but {len(is_write)} is_write flags"
+            )
+        if len(addresses) == 0:
+            return np.ones(0, dtype=bool)
+        hit, self._resident = lru_window(
+            addresses >> ELEMENT_SHIFT, self._resident, self.capacity
+        )
+        keep = ~hit | is_write.astype(bool)
+        self._hits += len(keep) - int(np.count_nonzero(keep))
+        return keep
 
     def finish(self) -> RegisterFilterResult:
         """Accumulated hit count (no global mask in streaming mode)."""
@@ -97,3 +94,36 @@ def filter_loads(
     sink = RegisterFilterSink(capacity)
     keep = sink.feed((addresses, is_write))
     return RegisterFilterResult(to_memory=keep, load_hits=sink.finish().load_hits)
+
+
+def filter_loads_reference(
+    addresses: np.ndarray,
+    is_write: np.ndarray,
+    capacity: int = 32,
+) -> RegisterFilterResult:
+    """The original per-access ``OrderedDict`` walk (test oracle).
+
+    Retained as the cross-check target for :class:`RegisterFilterSink`'s
+    vectorized window, like
+    :func:`~repro.machine.cache.simulate_cache_reference` for the caches.
+    """
+    n = len(addresses)
+    if capacity == 0 or n == 0:
+        return RegisterFilterResult(to_memory=np.ones(n, dtype=bool), load_hits=0)
+    elements = (np.asarray(addresses) >> ELEMENT_SHIFT).tolist()
+    writes = np.asarray(is_write).astype(bool).tolist()
+    window: OrderedDict[int, None] = OrderedDict()
+    keep = [True] * n
+    hits = 0
+    for pos, elem in enumerate(elements):
+        resident = elem in window
+        if resident:
+            window.move_to_end(elem)
+        else:
+            window[elem] = None
+            if len(window) > capacity:
+                window.popitem(last=False)
+        if resident and not writes[pos]:
+            keep[pos] = False
+            hits += 1
+    return RegisterFilterResult(to_memory=np.asarray(keep, dtype=bool), load_hits=hits)

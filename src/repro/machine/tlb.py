@@ -9,12 +9,12 @@ pages; we model 64 entries x 4 KB by default.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import MachineError
+from repro.machine.window import lru_window
 
 
 @dataclass(frozen=True)
@@ -39,30 +39,21 @@ class TLBConfig:
 class TLBSink:
     """Streaming TLB replay over address chunks.
 
-    The LRU window persists across chunks; most chunks touch few distinct
-    pages, so the per-access Python walk is cheap relative to the caches.
+    The resident pages persist across chunks in LRU→MRU order; each chunk
+    is one call of the vectorized window shared with the register file
+    (:func:`~repro.machine.window.lru_window`).
     """
 
     def __init__(self, config: TLBConfig):
         self.config = config
-        self._window: OrderedDict[int, None] = OrderedDict()
+        self._resident = np.empty(0, dtype=np.int64)
         self._misses = 0
 
     def feed(self, addresses: np.ndarray) -> None:
         """Translate one chunk of byte addresses."""
-        pages = (np.asarray(addresses) >> self.config.page_shift).tolist()
-        window = self._window
-        entries = self.config.entries
-        misses = 0
-        for page in pages:
-            if page in window:
-                window.move_to_end(page)
-            else:
-                misses += 1
-                window[page] = None
-                if len(window) > entries:
-                    window.popitem(last=False)
-        self._misses += misses
+        pages = np.asarray(addresses, dtype=np.int64) >> self.config.page_shift
+        hit, self._resident = lru_window(pages, self._resident, self.config.entries)
+        self._misses += len(hit) - int(np.count_nonzero(hit))
 
     def finish(self) -> int:
         """Total TLB misses."""

@@ -249,3 +249,73 @@ def test_streaming_executor_reproduces_trace():
     assert streamed.counters.as_dict() == run.counters.as_dict()
     for name in run.arrays:
         assert np.array_equal(streamed.arrays[name], run.arrays[name])
+
+
+class _ChunkRecorder:
+    """Keeps a copy of every chunk it is fed."""
+
+    def __init__(self) -> None:
+        self.chunks: list[np.ndarray] = []
+
+    def feed(self, chunk: np.ndarray) -> None:
+        self.chunks.append(np.array(chunk, copy=True))
+
+
+@pytest.mark.parametrize(
+    "kernel,variant,n,tile",
+    [
+        # block-heavy: every event comes from block-tier loop entries
+        # (tiled Jacobi keeps its time loop innermost, a scalar-tier loop)
+        ("jacobi", "seq", 24, None),
+        # scalar-heavy: at N=12 every LU trip is below the block floor
+        ("lu", "seq", 12, None),
+    ],
+)
+@pytest.mark.parametrize("chunk_events", [1, 97, 65536])
+def test_streaming_chunks_are_full_size(kernel, variant, n, tile, chunk_events):
+    # Memory chunks are coalesced across loop entries and tiers: every
+    # chunk but the last holds exactly `chunk_events` events, so a run
+    # feeds ceil(events / chunk_events) chunks, in program order.
+    program, _, _ = build_program(kernel, variant, tile=tile)
+    mod = get_kernel(kernel)
+    params = {"N": n}
+    if "M" in mod.PARAMS:
+        params["M"] = 4
+    inputs = mod.make_inputs(params, np.random.default_rng(3))
+    cp = CompiledProgram(program, trace=True)
+    trace = cp.run(params, inputs).trace
+    memory, branches = _ChunkRecorder(), _ChunkRecorder()
+    cp.run_streaming(
+        params,
+        inputs,
+        memory_sink=memory,
+        branch_sink=branches,
+        chunk_events=chunk_events,
+    )
+    events = len(trace.memory)
+    assert len(memory.chunks) == -(-events // chunk_events)
+    assert all(len(c) == chunk_events for c in memory.chunks[:-1])
+    assert 0 < len(memory.chunks[-1]) <= chunk_events
+    assert np.array_equal(np.concatenate(memory.chunks), trace.memory)
+    streamed_branches = (
+        np.concatenate(branches.chunks) if branches.chunks else np.empty(0, np.int64)
+    )
+    assert np.array_equal(streamed_branches, trace.branches)
+
+
+def test_streaming_chunks_every_size():
+    # Every chunk size from 1 to past the run's largest block matrix (36
+    # events), so the queue's fill level hits each remainder before a
+    # block arrives. With a trip floor of 2, QR at N=10 interleaves 52
+    # block-tier matrices with scalar-tier events (1268 and 1532 events).
+    program, _, _ = build_program("qr", "seq")
+    params = {"N": 10}
+    inputs = get_kernel("qr").make_inputs(params, np.random.default_rng(4))
+    cp = CompiledProgram(program, trace=True, min_block_trip=2)
+    memory_trace = cp.run(params, inputs).trace.memory
+    for chunk_events in range(1, 80):
+        sink = _ChunkRecorder()
+        cp.run_streaming(params, inputs, memory_sink=sink, chunk_events=chunk_events)
+        sizes = [len(c) for c in sink.chunks]
+        assert sizes[:-1] == [chunk_events] * (len(sizes) - 1), chunk_events
+        assert np.array_equal(np.concatenate(sink.chunks), memory_trace)
