@@ -1,13 +1,14 @@
 """Machine-model throughput: trace producer and trace consumers.
 
-Two acceptance checks live here. The consumer side (PR 2): on a 1M-event
+Two acceptance checks live here. The consumer side: on a 1M-event
 address trace the vectorized :class:`~repro.machine.cache.CacheSink` must
 replay at least 5x faster than the per-access reference simulator it
-replaced. The producer side (this PR): the block codegen tier must
-*generate* encoded events at least 5x faster than the scalar tier on a
->= 1M-event kernel. The vectorized register window must equal the
-per-access dict walk it replaced on a real Jacobi access stream (checked
-with timing disabled too). The measured events/sec of every path land in
+replaced. The producer side: the block codegen tier must *generate*
+encoded events at least 5x faster than the scalar tier on a >= 1M-event
+kernel. On a real Jacobi access stream the vectorized register window,
+the set-associative cache replay (4- and 8-way) and the write-back replay
+must equal the per-access walks they replaced (checked with timing
+disabled too). The measured events/sec of every path land in
 ``extra_info`` so ``--benchmark-json`` output carries the evidence.
 """
 
@@ -20,12 +21,18 @@ import numpy as np
 from repro.exec.compiled import CompiledProgram
 from repro.experiments.runner import build_program
 from repro.kernels.registry import get_kernel
-from repro.machine.cache import CacheSink, simulate_cache_reference
+from repro.machine.cache import CacheConfig, CacheSink
 from repro.machine.hierarchy import HierarchySink
 from repro.machine.layout import layout_for_run
 from repro.machine.perfcounters import measure_streaming
-from repro.machine.registers import RegisterFilterSink, filter_loads_reference
+from repro.machine.oracles import (
+    filter_loads_reference,
+    simulate_cache_reference,
+    simulate_writeback_reference,
+)
+from repro.machine.registers import RegisterFilterSink
 from repro.machine.sinks import DEFAULT_CHUNK_EVENTS
+from repro.machine.writeback import WritebackSink
 
 #: Trace length of the throughput comparison.
 N_EVENTS = 1_000_000
@@ -199,11 +206,9 @@ def test_hierarchy_replay_throughput(benchmark, sweep_config):
     )
 
 
-def test_register_window_throughput(benchmark, sweep_config):
-    """The vectorized register window equals the per-access dict walk on
-    a real access stream (Jacobi tiled, the register-reuse showcase), fed
-    in design-size chunks; with timing on, it is also faster."""
-    n = 88
+def _jacobi_tiled_stream(sweep_config, n: int = 88) -> tuple[np.ndarray, np.ndarray]:
+    """Byte addresses and write flags of tiled Jacobi at size *n* (the
+    register-reuse showcase)."""
     program, _, _ = build_program("jacobi", "tiled", tile=sweep_config.tile_for(n))
     params = {"N": n, "M": sweep_config.jacobi_m}
     inputs = get_kernel("jacobi").make_inputs(params, np.random.default_rng(7))
@@ -211,6 +216,14 @@ def test_register_window_throughput(benchmark, sweep_config):
     aid, lin, rw = run.trace.memory_events()
     id_to_name = {v: k for k, v in run.array_ids.items()}
     addrs = layout_for_run(run, program, params).addresses(aid, lin, id_to_name)
+    return addrs, rw
+
+
+def test_register_window_throughput(benchmark, sweep_config):
+    """The vectorized register window equals the per-access dict walk on
+    a real access stream (Jacobi tiled, the register-reuse showcase), fed
+    in design-size chunks; with timing on, it is also faster."""
+    addrs, rw = _jacobi_tiled_stream(sweep_config)
     capacity = sweep_config.machine.registers
     chunks = [
         (addrs[i : i + DEFAULT_CHUNK_EVENTS], rw[i : i + DEFAULT_CHUNK_EVENTS])
@@ -239,4 +252,39 @@ def test_register_window_throughput(benchmark, sweep_config):
         info["streaming_events_per_sec"] = round(len(addrs) / t_vec)
         info["speedup"] = round(t_ref / t_vec, 2)
         assert t_vec < t_ref
+    benchmark.extra_info.update(info)
+
+
+def test_set_associative_and_writeback_replay(benchmark, sweep_config):
+    """On the same real stream in design-size chunks, the set-grouped LRU
+    replay equals the per-access walks: :class:`CacheSink` at 4 and 8 ways
+    (the scaled L1's size and line) and :class:`WritebackSink` on the
+    scaled L1."""
+    addrs, rw = _jacobi_tiled_stream(sweep_config)
+    l1 = sweep_config.machine.l1
+    bounds = range(0, len(addrs), DEFAULT_CHUNK_EVENTS)
+    chunks = [slice(i, i + DEFAULT_CHUNK_EVENTS) for i in bounds]
+    info = {"events": len(addrs)}
+    for assoc in (4, 8):
+        config = CacheConfig(f"L1-a{assoc}", l1.size_bytes, l1.line_bytes, assoc)
+        sink = CacheSink(config, keep_mask=True)
+        for chunk in chunks:
+            sink.feed(addrs[chunk])
+        mask = sink.finish().miss_mask
+        assert np.array_equal(mask, simulate_cache_reference(config, addrs))
+        info[f"l1_a{assoc}_misses"] = int(mask.sum())
+
+    def writeback():
+        sink = WritebackSink(l1, keep_mask=True)
+        for chunk in chunks:
+            sink.feed((addrs[chunk], rw[chunk]))
+        return sink.finish()
+
+    got = benchmark.pedantic(writeback, rounds=1, iterations=1)
+    ref = simulate_writeback_reference(l1, addrs, rw)
+    assert np.array_equal(got.misses, ref.misses)
+    assert (got.writebacks, got.dirty_at_end) == (ref.writebacks, ref.dirty_at_end)
+    assert got.writebacks > 0
+    info["writebacks"] = got.writebacks
+    info["dirty_at_end"] = got.dirty_at_end
     benchmark.extra_info.update(info)

@@ -8,6 +8,8 @@ exactly those observables from the executor's traces:
 - :mod:`repro.machine.layout` — column-major array placement in a flat
   address space;
 - :mod:`repro.machine.cache` — set-associative LRU data-cache simulation;
+- :mod:`repro.machine.window` — the vectorized LRU engine shared by the
+  caches, the write-back model, the register file and the TLB;
 - :mod:`repro.machine.hierarchy` — two-level (L1 + unified L2) filtering;
 - :mod:`repro.machine.branch` — branch predictors (2-bit saturating
   counters by default);

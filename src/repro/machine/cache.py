@@ -3,7 +3,8 @@
 Matches the paper's Octane2 caches: physically simple, LRU replacement,
 write-allocate (reads and writes are treated alike for residency — perfex's
 data-cache miss counters do not distinguish them either). Write-back traffic
-is not modelled; the paper's analysis uses miss *counts* only.
+is modelled separately, by :mod:`repro.machine.writeback`; the paper's
+analysis uses miss *counts* only.
 
 The simulator exploits the classic LRU property: with associativity ``A``,
 the resident lines of a set are exactly the ``A`` most recently accessed
@@ -11,7 +12,7 @@ distinct lines mapping to it.
 
 :class:`CacheSink` is the streaming production engine. It keeps the whole
 cache state in a ``(num_sets, assoc)`` integer array (MRU order, ``-1`` =
-empty way) and replays each chunk with vectorized NumPy kernels:
+empty way) and replays each chunk with one of two vectorized engines:
 
 - ``assoc <= 2`` (every shipped Octane2 level is 2-way): a closed-form
   O(n) pass. Within one set's access run, the MRU line after position
@@ -19,13 +20,13 @@ empty way) and replays each chunk with vectorized NumPy kernels:
   just before the current run of equal lines — so hits fall out of two
   shifted comparisons, with prior cache state spliced in as virtual
   warm-up accesses at the head of each run.
-- larger associativity: a lock-step "rounds" replay — round ``k`` updates
-  the ``k``-th access of every set simultaneously (sets are independent),
-  vectorized across sets; or the original per-access Python walk when a
-  chunk concentrates on too few sets for rounds to pay.
+- larger associativity: the shared LRU engine's set-grouped replay
+  (:func:`~repro.machine.window.replay_sets`), which prepends each touched
+  set's resident lines to its accesses and decides every access by its
+  stack distance against ``assoc``.
 
-:func:`simulate_cache_reference` retains the original pure-Python
-implementation verbatim as the oracle the tests cross-check.
+The per-access pure-Python simulator these replace is kept as the test
+oracle :func:`repro.machine.oracles.simulate_cache_reference`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MachineError
+from repro.machine.sinks import check_addresses
+from repro.machine.window import group_by_set, lru_window, replay_sets
 
 
 @dataclass(frozen=True)
@@ -112,15 +115,11 @@ class CacheSink:
     # -- public protocol ---------------------------------------------------
     def feed(self, addresses: np.ndarray) -> np.ndarray:
         """Replay one chunk; returns the chunk's per-access miss mask."""
-        addresses = np.asarray(addresses)
-        if addresses.ndim != 1:
-            raise MachineError("addresses must be a 1-D array")
+        addresses = check_addresses(addresses)
         n = len(addresses)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        lines = addresses.astype(np.int64, copy=False) >> self._shift
-        if lines.min() < 0:
-            raise MachineError("addresses must be non-negative")
+        lines = addresses >> self._shift
         if self._set_mask is not None:
             sets = lines & self._set_mask
         else:
@@ -128,13 +127,7 @@ class CacheSink:
         if self._assoc <= 2:
             miss = self._replay_assoc2(sets, lines)
         else:
-            # Rounds pay off only when accesses spread over many sets:
-            # the round count is the deepest per-set run in the chunk.
-            deepest = int(np.bincount(sets, minlength=1).max())
-            if deepest * 32 <= n:
-                miss = self._replay_rounds(sets, lines)
-            else:
-                miss = self._replay_python(sets, lines)
+            miss, _ = replay_sets(sets, lines, self._state)
         self._accesses += n
         self._misses += int(miss.sum())
         if self._mask_chunks is not None:
@@ -152,33 +145,11 @@ class CacheSink:
             )
         return CacheResult(self._accesses, self._misses, mask)
 
-    def _sort_by_set(self, sets: np.ndarray) -> np.ndarray:
-        """Stable permutation grouping accesses by set.
-
-        NumPy's stable argsort is a radix sort only for <= 16-bit dtypes
-        (timsort otherwise, several times slower), so narrow the keys
-        first — set indices are tiny.
-        """
-        if self._nsets <= 1 << 8:
-            keys = sets.astype(np.uint8)
-        elif self._nsets <= 1 << 16:
-            keys = sets.astype(np.uint16)
-        else:
-            keys = sets
-        return np.argsort(keys, kind="stable")
-
     # -- assoc <= 2 closed form --------------------------------------------
     def _replay_assoc2(self, sets: np.ndarray, lines: np.ndarray) -> np.ndarray:
         n = len(sets)
-        order = self._sort_by_set(sets)
-        s = sets[order]
+        order, starts, run_sets, run_len = group_by_set(sets, self._nsets)
         lin = lines[order]
-        run_start = np.empty(n, dtype=bool)
-        run_start[0] = True
-        np.not_equal(s[1:], s[:-1], out=run_start[1:])
-        starts = np.flatnonzero(run_start)
-        run_sets = s[starts]
-        run_len = np.diff(np.append(starts, n))
         way0 = self._state[run_sets, 0]  # MRU line per touched set
         # MRU hit: equal to the previous line of the same set; at a run
         # head "previous" is the pre-chunk MRU spliced in from state.
@@ -222,74 +193,6 @@ class CacheSink:
         )
         return miss
 
-    # -- general associativity: lock-step rounds ---------------------------
-    def _replay_rounds(self, sets: np.ndarray, lines: np.ndarray) -> np.ndarray:
-        n = len(sets)
-        assoc = self._assoc
-        state = self._state
-        order = self._sort_by_set(sets)
-        s = sets[order]
-        lin = lines[order]
-        run_start = np.empty(n, dtype=bool)
-        run_start[0] = True
-        np.not_equal(s[1:], s[:-1], out=run_start[1:])
-        starts = np.flatnonzero(run_start)
-        run_len = np.diff(np.append(starts, n))
-        # Longest runs first, so round k's active runs are a prefix.
-        depth_order = np.argsort(-run_len, kind="stable")
-        starts_d = starts[depth_order]
-        neg_len_d = -run_len[depth_order]
-        miss_sorted = np.empty(n, dtype=bool)
-        cols = np.arange(assoc)
-        for k in range(int(run_len.max())):
-            active = int(np.searchsorted(neg_len_d, -k, side="left"))
-            pos = starts_d[:active] + k
-            ss = s[pos]
-            ll = lin[pos]
-            ways = state[ss]  # (active, assoc) copy
-            eq = ways == ll[:, None]
-            hit = eq.any(axis=1)
-            # On a hit rotate ways 0..j to the right; on a miss (j = last
-            # way) shift everything, dropping the LRU victim.
-            j = np.where(hit, eq.argmax(axis=1), assoc - 1)
-            shifted = np.empty_like(ways)
-            shifted[:, 0] = ll
-            if assoc > 1:
-                shifted[:, 1:] = ways[:, :-1]
-            state[ss] = np.where(cols[None, :] > j[:, None], ways, shifted)
-            miss_sorted[pos] = ~hit
-        miss = np.empty(n, dtype=bool)
-        miss[order] = miss_sorted
-        return miss
-
-    # -- per-access fallback ------------------------------------------------
-    def _replay_python(self, sets: np.ndarray, lines: np.ndarray) -> np.ndarray:
-        """Original per-access walk, kept for chunks that concentrate on
-        few sets (rounds would degenerate to per-access NumPy calls)."""
-        state = self._state
-        touched = np.unique(sets)
-        ways_by_set = {
-            int(q): [int(w) for w in state[q] if w >= 0] for q in touched
-        }
-        assoc = self._assoc
-        miss = np.empty(len(sets), dtype=bool)
-        for pos, (q, line) in enumerate(zip(sets.tolist(), lines.tolist())):
-            ways = ways_by_set[q]
-            if line in ways:
-                miss[pos] = False
-                if ways[0] != line:
-                    ways.remove(line)
-                    ways.insert(0, line)
-            else:
-                miss[pos] = True
-                ways.insert(0, line)
-                if len(ways) > assoc:
-                    ways.pop()
-        for q, ways in ways_by_set.items():
-            row = ways + [-1] * (assoc - len(ways))
-            state[q] = row
-        return miss
-
 
 def simulate_cache(config: CacheConfig, addresses: np.ndarray) -> np.ndarray:
     """Replay *addresses* through an initially-cold cache.
@@ -297,44 +200,7 @@ def simulate_cache(config: CacheConfig, addresses: np.ndarray) -> np.ndarray:
     Returns a boolean array: ``True`` where the access missed. One-chunk
     wrapper around :class:`CacheSink`.
     """
-    addresses = np.asarray(addresses)
-    if addresses.ndim != 1:
-        raise MachineError("addresses must be a 1-D array")
-    sink = CacheSink(config)
-    if len(addresses) == 0:
-        return np.zeros(0, dtype=bool)
-    return sink.feed(addresses)
-
-
-def simulate_cache_reference(config: CacheConfig, addresses: np.ndarray) -> np.ndarray:
-    """The original per-access pure-Python simulator (oracle).
-
-    Retained verbatim as the cross-check target for :class:`CacheSink`'s
-    vectorized replay; roughly 0.3 µs per access.
-    """
-    if addresses.ndim != 1:
-        raise MachineError("addresses must be a 1-D array")
-    n = len(addresses)
-    misses = np.zeros(n, dtype=bool)
-    if n == 0:
-        return misses
-    lines = (addresses >> config.line_shift).tolist()
-    nsets = config.num_sets
-    assoc = config.assoc
-    sets: list[list[int]] = [[] for _ in range(nsets)]
-    miss_list = [False] * n
-    for pos, line in enumerate(lines):
-        ways = sets[line % nsets]
-        if line in ways:
-            if ways[0] != line:
-                ways.remove(line)
-                ways.insert(0, line)
-        else:
-            miss_list[pos] = True
-            ways.insert(0, line)
-            if len(ways) > assoc:
-                ways.pop()
-    return np.asarray(miss_list, dtype=bool)
+    return CacheSink(config).feed(addresses)
 
 
 class _Fenwick:
@@ -378,7 +244,8 @@ def stack_distances(addresses: np.ndarray, line_shift: int) -> np.ndarray:
     last-occurrence position of every distinct line; the distance of an
     access is the number of marks strictly between its line's previous
     occurrence and itself. O(n log n) instead of the old O(n·depth)
-    ``list.index`` walk (kept as :func:`stack_distances_reference`).
+    ``list.index`` walk (kept as the test oracle
+    :func:`repro.machine.oracles.stack_distances_reference`).
     """
     lines = (np.asarray(addresses) >> line_shift).tolist()
     n = len(lines)
@@ -398,28 +265,10 @@ def stack_distances(addresses: np.ndarray, line_shift: int) -> np.ndarray:
     return out
 
 
-def stack_distances_reference(addresses: np.ndarray, line_shift: int) -> np.ndarray:
-    """Original list-based Mattson stack (oracle for :func:`stack_distances`)."""
-    lines = (np.asarray(addresses) >> line_shift).tolist()
-    stack: list[int] = []
-    out = np.empty(len(lines), dtype=np.int64)
-    for pos, line in enumerate(lines):
-        try:
-            depth = stack.index(line)
-        except ValueError:
-            out[pos] = -1
-            stack.insert(0, line)
-            continue
-        out[pos] = depth
-        if depth:
-            del stack[depth]
-            stack.insert(0, line)
-    return out
-
-
 def misses_fully_associative(
     addresses: np.ndarray, line_shift: int, capacity_lines: int
 ) -> int:
-    """Miss count of a fully-associative LRU cache (via stack distances)."""
-    d = stack_distances(addresses, line_shift)
-    return int(((d < 0) | (d >= capacity_lines)).sum())
+    """Miss count of a fully-associative LRU cache (one LRU window replay)."""
+    lines = np.asarray(addresses, dtype=np.int64) >> line_shift
+    hit, _ = lru_window(lines, np.empty(0, dtype=np.int64), capacity_lines)
+    return len(hit) - int(np.count_nonzero(hit))

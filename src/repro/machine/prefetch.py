@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import MachineError
 from repro.machine.cache import CacheConfig
+from repro.machine.sinks import check_addresses
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,10 @@ class PrefetchSink:
     """Streaming tagged next-line prefetch replay over address chunks.
 
     Per-set residency state (``[line, prefetched]`` entries in MRU order)
-    persists across chunks.
+    persists across chunks. This is a per-access walk, not the shared LRU
+    engine (:mod:`repro.machine.window`): a prefetch is inserted at the
+    LRU position without being accessed, so a set's order is no longer its
+    recency stack and residency is not a stack-distance threshold.
     """
 
     def __init__(self, config: CacheConfig):
@@ -74,10 +77,7 @@ class PrefetchSink:
 
     def feed(self, addresses: np.ndarray) -> None:
         """Replay one chunk of byte addresses."""
-        addresses = np.asarray(addresses)
-        if addresses.ndim != 1:
-            raise MachineError("addresses must be 1-D")
-        lines = (addresses >> self.config.line_shift).tolist()
+        lines = (check_addresses(addresses) >> self.config.line_shift).tolist()
         nsets = self.config.num_sets
         sets = self._sets
         for line in lines:

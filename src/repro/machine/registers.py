@@ -18,12 +18,12 @@ The model is a fully-associative LRU window of *element* addresses:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import MachineError
+from repro.machine.sinks import check_accesses
 from repro.machine.window import lru_window
 
 #: Element granularity (doubles).
@@ -50,8 +50,8 @@ class RegisterFilterSink:
     resident elements in LRU→MRU order. Each chunk is replayed by the
     vectorized :func:`~repro.machine.window.lru_window`, whose cost per
     access is a few NumPy passes however long the chunk;
-    :func:`filter_loads_reference` is the per-access oracle it is tested
-    against.
+    :func:`repro.machine.oracles.filter_loads_reference` is the per-access
+    oracle it is tested against.
     """
 
     def __init__(self, capacity: int = 32):
@@ -63,20 +63,13 @@ class RegisterFilterSink:
 
     def feed(self, chunk: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Filter one chunk; returns its boolean to-memory mask."""
-        addresses, is_write = (np.asarray(a) for a in chunk)
-        if addresses.ndim != 1 or is_write.ndim != 1:
-            raise MachineError("register filter needs 1-D addresses and is_write")
-        if len(addresses) != len(is_write):
-            raise MachineError(
-                f"register filter got {len(addresses)} addresses "
-                f"but {len(is_write)} is_write flags"
-            )
+        addresses, is_write = check_accesses(chunk)
         if len(addresses) == 0:
             return np.ones(0, dtype=bool)
         hit, self._resident = lru_window(
             addresses >> ELEMENT_SHIFT, self._resident, self.capacity
         )
-        keep = ~hit | is_write.astype(bool)
+        keep = ~hit | is_write
         self._hits += len(keep) - int(np.count_nonzero(keep))
         return keep
 
@@ -94,36 +87,3 @@ def filter_loads(
     sink = RegisterFilterSink(capacity)
     keep = sink.feed((addresses, is_write))
     return RegisterFilterResult(to_memory=keep, load_hits=sink.finish().load_hits)
-
-
-def filter_loads_reference(
-    addresses: np.ndarray,
-    is_write: np.ndarray,
-    capacity: int = 32,
-) -> RegisterFilterResult:
-    """The original per-access ``OrderedDict`` walk (test oracle).
-
-    Retained as the cross-check target for :class:`RegisterFilterSink`'s
-    vectorized window, like
-    :func:`~repro.machine.cache.simulate_cache_reference` for the caches.
-    """
-    n = len(addresses)
-    if capacity == 0 or n == 0:
-        return RegisterFilterResult(to_memory=np.ones(n, dtype=bool), load_hits=0)
-    elements = (np.asarray(addresses) >> ELEMENT_SHIFT).tolist()
-    writes = np.asarray(is_write).astype(bool).tolist()
-    window: OrderedDict[int, None] = OrderedDict()
-    keep = [True] * n
-    hits = 0
-    for pos, elem in enumerate(elements):
-        resident = elem in window
-        if resident:
-            window.move_to_end(elem)
-        else:
-            window[elem] = None
-            if len(window) > capacity:
-                window.popitem(last=False)
-        if resident and not writes[pos]:
-            keep[pos] = False
-            hits += 1
-    return RegisterFilterResult(to_memory=np.asarray(keep, dtype=bool), load_hits=hits)

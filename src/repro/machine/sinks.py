@@ -29,6 +29,11 @@ Chunk types are stream-specific (duck-typed, per sink class):
   :class:`~repro.machine.registers.RegisterFilterSink` and
   :class:`~repro.machine.writeback.WritebackSink`.
 
+Every address-consuming sink validates its chunk with
+:func:`check_addresses` (or :func:`check_accesses`), so a 2-D or negative
+address chunk is a typed :class:`~repro.errors.MachineError` whichever
+model receives it.
+
 Sinks must be chunking-invariant: feeding one big chunk or many small ones
 in the same order yields bit-identical results (the equivalence tests
 exercise exactly this property).
@@ -40,6 +45,7 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.errors import MachineError
 from repro.exec.events import DEFAULT_CHUNK_EVENTS
 
 __all__ = [
@@ -48,7 +54,37 @@ __all__ = [
     "MaterializeSink",
     "FanoutSink",
     "CountSink",
+    "check_addresses",
+    "check_accesses",
 ]
+
+
+def check_addresses(addresses: Any) -> np.ndarray:
+    """*addresses* as a 1-D ``int64`` array of byte addresses.
+
+    Raises :class:`~repro.errors.MachineError` if it is not 1-D or holds a
+    negative address.
+    """
+    addresses = np.asarray(addresses)
+    if addresses.ndim != 1:
+        raise MachineError("addresses must be a 1-D array")
+    addresses = addresses.astype(np.int64, copy=False)
+    if len(addresses) and addresses.min() < 0:
+        raise MachineError("addresses must be non-negative")
+    return addresses
+
+
+def check_accesses(chunk: tuple[Any, Any]) -> tuple[np.ndarray, np.ndarray]:
+    """An ``(addresses, is_write)`` chunk as checked addresses and a boolean
+    write mask of the same length (:class:`~repro.errors.MachineError` if not)."""
+    addresses, is_write = chunk
+    addresses = check_addresses(addresses)
+    is_write = np.asarray(is_write)
+    if is_write.ndim != 1 or len(is_write) != len(addresses):
+        raise MachineError(
+            f"{len(addresses)} addresses but is_write has shape {is_write.shape}"
+        )
+    return addresses, is_write.astype(bool, copy=False)
 
 
 @runtime_checkable

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MachineError
+from repro.machine.sinks import check_addresses
 from repro.machine.window import lru_window
 
 
@@ -51,7 +52,7 @@ class TLBSink:
 
     def feed(self, addresses: np.ndarray) -> None:
         """Translate one chunk of byte addresses."""
-        pages = np.asarray(addresses, dtype=np.int64) >> self.config.page_shift
+        pages = check_addresses(addresses) >> self.config.page_shift
         hit, self._resident = lru_window(pages, self._resident, self.config.entries)
         self._misses += len(hit) - int(np.count_nonzero(hit))
 

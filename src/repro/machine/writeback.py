@@ -6,6 +6,24 @@ every store dirties its line, and evicting a dirty line costs a write of
 one line to the next level. Tiling changes not only the miss count but the
 *dirty* eviction count (tiled kernels overwrite resident lines many times
 before eviction).
+
+Residency comes from the shared LRU engine's set-grouped replay
+(:func:`~repro.machine.window.replay_sets`); dirty evictions come from
+*residency intervals*. A line's accesses in the replayed sequence are split
+at its misses: each miss opens an interval, and so does the virtual access
+that carries a resident line into the chunk, whose write flag is the
+line's stored dirty flag. Then:
+
+- an interval is dirty iff it contains a write;
+- an interval is evicted in this chunk unless it is the last interval of a
+  line still resident after the chunk (a later miss on the same line means
+  it was evicted in between);
+- ``writebacks`` grows by the dirty evicted intervals, and each resident
+  line carries its last interval's dirty flag to the next chunk;
+  ``dirty_at_end`` is their sum.
+
+The per-access list walk this replaces is kept as the test oracle
+:func:`repro.machine.oracles.simulate_writeback_reference`.
 """
 
 from __future__ import annotations
@@ -14,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import MachineError
 from repro.machine.cache import CacheConfig
+from repro.machine.sinks import check_accesses
+from repro.machine.window import replay_sets
 
 
 @dataclass(frozen=True)
@@ -38,52 +57,35 @@ class WritebackResult:
 class WritebackSink:
     """Streaming write-allocate/write-back replay.
 
-    Consumes ``(addresses, is_write)`` chunks; per-set ``[line, dirty]``
-    residency state persists across chunks.
+    Consumes ``(addresses, is_write)`` chunks; the per-set resident lines
+    (MRU first, ``-1`` = empty way) and their dirty flags persist across
+    chunks.
     """
 
     def __init__(self, config: CacheConfig, *, keep_mask: bool = False):
         self.config = config
-        # Per set: list of [line, dirty] in MRU order.
-        self._sets: list[list[list]] = [[] for _ in range(config.num_sets)]
+        shape = (config.num_sets, config.assoc)
+        self._state = np.full(shape, -1, dtype=np.int64)
+        self._dirty = np.zeros(shape, dtype=bool)
         self._writebacks = 0
         self._miss_count = 0
         self._mask_chunks: list[np.ndarray] | None = [] if keep_mask else None
 
     def feed(self, chunk: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Replay one chunk; returns its per-access miss mask."""
-        addresses, is_write = chunk
-        if len(addresses) != len(is_write):
-            raise MachineError("addresses and is_write must align")
-        n = len(addresses)
-        miss_list = [False] * n
-        if n:
-            lines = (np.asarray(addresses) >> self.config.line_shift).tolist()
-            writes = np.asarray(is_write).astype(bool).tolist()
-            nsets = self.config.num_sets
-            assoc = self.config.assoc
-            sets = self._sets
-            for pos, line in enumerate(lines):
-                ways = sets[line % nsets]
-                hit = None
-                for way in ways:
-                    if way[0] == line:
-                        hit = way
-                        break
-                if hit is not None:
-                    if ways[0] is not hit:
-                        ways.remove(hit)
-                        ways.insert(0, hit)
-                    if writes[pos]:
-                        hit[1] = True
-                else:
-                    miss_list[pos] = True
-                    ways.insert(0, [line, writes[pos]])
-                    if len(ways) > assoc:
-                        victim = ways.pop()
-                        if victim[1]:
-                            self._writebacks += 1
-        mask = np.asarray(miss_list, dtype=bool)
+        addresses, is_write = check_accesses(chunk)
+        if len(addresses):
+            lines = addresses >> self.config.line_shift
+            mask, evicted = replay_sets(
+                lines % self.config.num_sets,
+                lines,
+                self._state,
+                is_write,
+                self._dirty,
+            )
+            self._writebacks += evicted
+        else:
+            mask = np.zeros(0, dtype=bool)
         self._miss_count += int(mask.sum())
         if self._mask_chunks is not None:
             self._mask_chunks.append(mask)
@@ -91,7 +93,6 @@ class WritebackSink:
 
     def finish(self) -> WritebackResult:
         """Accumulated totals (plus the miss mask when requested)."""
-        dirty = sum(1 for ways in self._sets for way in ways if way[1])
         mask = None
         if self._mask_chunks is not None:
             mask = (
@@ -102,7 +103,7 @@ class WritebackSink:
         return WritebackResult(
             miss_count=self._miss_count,
             writebacks=self._writebacks,
-            dirty_at_end=dirty,
+            dirty_at_end=int(np.count_nonzero(self._dirty)),
             misses=mask,
         )
 

@@ -22,12 +22,8 @@ from hypothesis import given, strategies as st
 from repro.errors import MachineError
 from repro.machine import window
 from repro.machine.cache import stack_distances
-from repro.machine.registers import (
-    ELEMENT_SHIFT,
-    RegisterFilterSink,
-    filter_loads,
-    filter_loads_reference,
-)
+from repro.machine.oracles import filter_loads_reference
+from repro.machine.registers import ELEMENT_SHIFT, RegisterFilterSink, filter_loads
 from repro.machine.tlb import TLBConfig, TLBSink, simulate_tlb
 
 CAPACITIES = [0, 1, 31, 32, 33, 64]

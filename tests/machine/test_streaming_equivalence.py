@@ -29,12 +29,11 @@ from repro.machine.cache import (
     CacheConfig,
     CacheSink,
     simulate_cache,
-    simulate_cache_reference,
     stack_distances,
-    stack_distances_reference,
 )
 from repro.machine.configs import octane2_scaled
 from repro.machine.hierarchy import HierarchySink, simulate_hierarchy
+from repro.machine.oracles import simulate_cache_reference, stack_distances_reference
 from repro.machine.perfcounters import measure, measure_streaming
 from repro.machine.registers import RegisterFilterSink, filter_loads
 from repro.machine.sinks import MaterializeSink
@@ -51,8 +50,37 @@ def random_chunks(rng, array, *extra):
         yield (array[lo:hi], *(e[lo:hi] for e in extra))
 
 
+def lru_state(cfg: CacheConfig, addrs: np.ndarray) -> np.ndarray:
+    """Resident lines per set after *addrs* from a cold cache, MRU first:
+    the last ``assoc`` distinct lines mapping to each set."""
+    state = np.full((cfg.num_sets, cfg.assoc), -1, dtype=np.int64)
+    filled = [0] * cfg.num_sets
+    seen: set[int] = set()
+    for line in reversed((addrs >> cfg.line_shift).tolist()):
+        if line in seen:
+            continue
+        seen.add(line)
+        q = line % cfg.num_sets
+        if filled[q] < cfg.assoc:
+            state[q, filled[q]] = line
+            filled[q] += 1
+    return state
+
+
+def feed_checking_state(cfg, chunks):
+    """Feed *chunks* to a ``CacheSink``, checking its carried state after
+    each one; returns the sink's result, miss mask included."""
+    sink = CacheSink(cfg, keep_mask=True)
+    seen = np.zeros(0, dtype=np.int64)
+    for chunk in chunks:
+        sink.feed(chunk)
+        seen = np.concatenate([seen, chunk])
+        assert np.array_equal(sink._state, lru_state(cfg, seen))
+    return sink.finish()
+
+
 class TestCacheSinkAgainstOracle:
-    @pytest.mark.parametrize("assoc", [1, 2, 4])
+    @pytest.mark.parametrize("assoc", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("nsets", [1, 4, 32, 100])
     def test_randomized_traces(self, assoc, nsets):
         rng = np.random.default_rng(nsets * 10 + assoc)
@@ -62,29 +90,26 @@ class TestCacheSinkAgainstOracle:
             addrs = rng.integers(0, 64 * nsets * 32, size=n, dtype=np.int64)
             ref = simulate_cache_reference(cfg, addrs)
             assert np.array_equal(simulate_cache(cfg, addrs), ref)
-            sink = CacheSink(cfg, keep_mask=True)
-            for (chunk,) in random_chunks(rng, addrs):
-                if len(chunk):
-                    sink.feed(chunk)
-            res = sink.finish()
+            chunks = [c for (c,) in random_chunks(rng, addrs) if len(c)]
+            res = feed_checking_state(cfg, chunks)
             assert res.misses == int(ref.sum())
             assert np.array_equal(res.miss_mask, ref)
 
-    def test_forced_rounds_and_python_paths(self):
-        # assoc > 2 dispatches by set concentration: many sets -> rounds,
-        # few sets -> python walk. Exercise both against the oracle, with
-        # state carried across chunks.
+    def test_spread_and_narrow_sets(self):
+        # Chunks spread over many sets, concentrated on a few, and both:
+        # the few-set chunks hold long per-set runs, the many-set chunks
+        # short ones. State is carried across the chunk cut.
         rng = np.random.default_rng(3)
-        cfg = CacheConfig("t", 16 * 4 * 32, 32, 4)
         spread = rng.integers(0, 16 * 64 * 32, size=1200, dtype=np.int64)
         narrow = (rng.integers(0, 8, size=1200, dtype=np.int64) * 16 * 32)
-        for addrs in (spread, narrow, np.concatenate([spread, narrow])):
-            ref = simulate_cache_reference(cfg, addrs)
-            sink = CacheSink(cfg, keep_mask=True)
-            half = len(addrs) // 2
-            sink.feed(addrs[:half])
-            sink.feed(addrs[half:])
-            assert np.array_equal(sink.finish().miss_mask, ref)
+        for assoc in (3, 4, 8):
+            cfg = CacheConfig("t", 16 * assoc * 32, 32, assoc)
+            for addrs in (spread, narrow, np.concatenate([spread, narrow])):
+                ref = simulate_cache_reference(cfg, addrs)
+                half = len(addrs) // 2
+                res = feed_checking_state(cfg, [addrs[:half], addrs[half:]])
+                assert res.misses == int(ref.sum())
+                assert np.array_equal(res.miss_mask, ref)
 
 
 class TestMattsonInclusion:
