@@ -10,13 +10,28 @@ vectorized trace consumers.
 
 Eligibility is decided in two stages, both conservative:
 
-**Static** (:func:`analyze_block_loop`, at compile time): the body must be
-straight-line ``Assign`` statements into array elements, the value
-expressions must use only elementwise-safe operations (``+ - * /``,
-unary ``-``, ``sqrt``, ``abs``), and every subscript must be affine with
-integral coefficients and free of array references, intrinsics and
-division. Anything else — guards, scalar reductions, ``Select``,
-non-affine subscripts — compiles on the scalar tier, per loop.
+**Static** (:func:`classify_block_loop`, at compile time): the body is
+straight-line ``Assign`` statements, optionally wrapped in one ``If``
+without ``else`` whose condition is a *mask condition* — comparisons
+joined by ``.AND.``/``.OR.``/``.NOT.`` over constants, loop variables,
+parameters and scalars the body does not assign, with ``+ - *`` only (no
+array, intrinsic or division). Each statement either writes an array
+element or is a **sum fold** ``t = t + e`` / ``t = t - e``, where ``t``
+is a real scalar or a loop-invariant array element, ``e`` does not read
+``t``, and no other statement of the body touches ``t`` (for a scalar
+``t``, ``e`` must also be float-valued, so the fold's type matches the
+scalar tier's). Values use only elementwise-safe operations (``+ - *
+/``, unary ``-``, ``sqrt``, ``abs``), and every subscript must be affine
+with integral coefficients and free of array references, intrinsics and
+division. Anything else — ``else`` branches, guards reading arrays,
+nested statements, other scalar targets, ``Select``, non-affine
+subscripts — compiles on the scalar tier, per loop.
+
+A guarded body evaluates its condition as a mask over the iteration
+vector and runs on the taken iterations only. A fold runs as one
+``np.add.accumulate`` / ``np.subtract.accumulate`` seeded with the
+incoming ``t``: a strictly sequential left fold, bit-identical to the
+scalar tier's (``np.sum`` and ``reduce`` sum pairwise and are not).
 
 **Runtime** (:func:`block_guard`, at every loop entry): block execution
 runs each statement over the whole trip range (all gathers of a statement
@@ -26,6 +41,8 @@ across iterations. The guard proves, from the concrete affine form
 number), that no reordered pair can ever touch the same element in a
 different order than the scalar tier would — otherwise that loop *entry*
 falls back to the scalar code, keeping traces and values bit-identical.
+The proof covers the full trip range, so it holds for the taken subset of
+a guarded body too.
 
 The pair conditions (``W`` a write with slope ``a_w != 0``, ``R`` a read
 or a later write; ``T`` the trip count):
@@ -40,6 +57,11 @@ or a later write; ``T`` the trip count):
   range with an iteration on the forbidden side;
 - any other slope combination is not analyzed: the guard reports unsafe
   and the entry runs on the scalar tier.
+
+The fold rule: a fold's target element is read and written at every
+iteration, so it is safe only if no *other* pattern of the same array can
+reach that element within the trip, in either order. Any other write
+with slope 0 is a recurrence and always falls back.
 """
 
 from __future__ import annotations
@@ -53,13 +75,17 @@ from repro.ir.expr import (
     ArrayRef,
     BinOp,
     Call,
+    Cmp,
     Const,
     Expr,
+    LogicalAnd,
+    LogicalNot,
+    LogicalOr,
     UnOp,
     VarRef,
     walk_expr,
 )
-from repro.ir.stmt import Assign, Loop
+from repro.ir.stmt import Assign, If, Loop
 
 #: Default minimum trip count before the block tier is worth entering
 #: (NumPy per-call overhead beats the scalar tier only past a few
@@ -74,7 +100,8 @@ _VECTOR_CALLS = ("sqrt", "abs")
 #: counter suffixes telemetry records (``exec.fallback.static.<reason>``).
 STATIC_FALLBACK_REASONS = (
     "non_const_step",      # step is not a positive integer constant
-    "non_assign_body",     # body has guards / nested loops / scalar targets
+    "non_assign_body",     # nested loops / else / array-reading guard /
+                           # scalar targets other than sum folds
     "non_vector_value",    # value uses Select/Cmp/non-elementwise calls
     "non_affine_subscript",  # a subscript is non-affine or non-integral
 )
@@ -100,20 +127,41 @@ class BlockAccess:
 class BlockPlan:
     """Everything codegen needs to emit the block tier for one loop.
 
-    ``patterns`` holds the distinct ``(array, subscript-exprs)`` shapes;
-    the generated code computes one index vector and one runtime
-    ``(slope, intercept)`` pair per pattern. ``accesses`` lists every
-    traced access in the exact order the scalar tier would emit its
-    events. ``write_patterns`` / ``pairs`` drive :func:`block_guard`.
+    ``body`` holds the statements to vectorize (the ``then`` branch when
+    ``mask`` is the condition of a guarded body); ``folds[k]`` is ``"+"``
+    or ``"-"`` when ``body[k]`` is a sum fold. ``patterns`` holds the
+    distinct ``(array, subscript-exprs)`` shapes; the generated code
+    computes one index vector and one runtime ``(slope, intercept)`` pair
+    per pattern. ``accesses`` lists every traced access in the exact order
+    the scalar tier would emit its events. ``write_patterns`` / ``pairs``
+    / ``fold_reach`` drive :func:`block_guard`.
     """
 
     loop: Loop
+    body: tuple[Assign, ...]
+    mask: Expr | None
+    folds: tuple[str | None, ...]
     patterns: tuple[tuple[str, tuple[Expr, ...]], ...]
     accesses: tuple[BlockAccess, ...]
     write_patterns: tuple[int, ...]
     #: (write pattern, other pattern, need_pos): unsafe when a collision
     #: exists at positive (True) / negative (False) iteration distance.
     pairs: tuple[tuple[int, int, bool], ...]
+    #: (fold target pattern, the other patterns of its array), for the
+    #: fold targets whose array has other patterns.
+    fold_reach: tuple[tuple[int, tuple[int, ...]], ...]
+
+    @property
+    def guarded_patterns(self) -> frozenset[int]:
+        """The patterns :func:`block_guard` reads; an empty set means
+        every entry is statically safe."""
+        used = set(self.write_patterns)
+        for w, o, _ in self.pairs:
+            used.update((w, o))
+        for f, others in self.fold_reach:
+            used.add(f)
+            used.update(others)
+        return frozenset(used)
 
 
 def _subscript_ok(sub: Expr, var: str) -> bool:
@@ -145,6 +193,71 @@ def _value_ok(expr: Expr) -> bool:
     return False  # Select / Cmp / logical nodes: scalar tier
 
 
+def _mask_ok(cond: Expr, assigned: set[str]) -> bool:
+    """A boolean condition whose elementwise NumPy evaluation equals the
+    scalar tier's per iteration and cannot raise: comparisons and logic
+    over ``+ - *`` of constants and names outside *assigned*."""
+    if isinstance(cond, (LogicalAnd, LogicalOr)):
+        return all(_mask_ok(a, assigned) for a in cond.args)
+    if isinstance(cond, LogicalNot):
+        return _mask_ok(cond.arg, assigned)
+    if not isinstance(cond, Cmp):
+        return False
+    for side in (cond.lhs, cond.rhs):
+        for node in walk_expr(side):
+            if isinstance(node, VarRef):
+                if node.name in assigned:
+                    return False
+            elif isinstance(node, BinOp):
+                if node.op == "/":
+                    return False
+            elif not isinstance(node, (Const, UnOp)):
+                return False
+    return True
+
+
+def _float_valued(expr: Expr) -> bool:
+    """Statically a float: some node yields a float, and every operator
+    above it propagates float-ness (all value operators do)."""
+    for node in walk_expr(expr):
+        if isinstance(node, ArrayRef):
+            return True
+        if isinstance(node, Const) and isinstance(node.value, float):
+            return True
+        if isinstance(node, BinOp) and node.op == "/":
+            return True
+        if isinstance(node, Call) and node.func == "sqrt":
+            return True
+    return False
+
+
+def _fold_op(stmt: Assign) -> str | None:
+    """``"+"`` / ``"-"`` when *stmt* is ``t = t + e`` / ``t = t - e`` with
+    ``e`` not reading ``t``; ``None`` otherwise."""
+    value = stmt.value
+    if not (isinstance(value, BinOp) and value.op in ("+", "-")
+            and value.lhs == stmt.target):
+        return None
+    if any(node == stmt.target for node in walk_expr(value.rhs)):
+        return None
+    return value.op
+
+
+def _touches(stmt: Assign, node: Expr) -> bool:
+    """Does *stmt* read or write the scalar or array element *node*?"""
+    return any(n == node for n in walk_expr(stmt.target)) or any(
+        n == node for n in walk_expr(stmt.value)
+    )
+
+
+def _invariant(ref: ArrayRef, var: str) -> bool:
+    """Every subscript affine and free of *var*: one element per entry."""
+    return all(
+        _subscript_ok(sub, var) and expr_to_linexpr(sub).coeff(var) == 0
+        for sub in ref.indices
+    )
+
+
 def _reads_in_order(expr: Expr) -> list[ArrayRef]:
     """Array reads in the scalar tier's event-emission (DFS) order."""
     out: list[ArrayRef] = []
@@ -156,28 +269,45 @@ def _reads_in_order(expr: Expr) -> list[ArrayRef]:
     return out
 
 
-def analyze_block_loop(loop: Loop) -> BlockPlan | None:
-    """Classify *loop* for the block tier; ``None`` means scalar only."""
-    plan, _reason = classify_block_loop(loop)
-    return plan
+def classify_block_loop(
+    loop: Loop, real_scalars: frozenset[str]
+) -> tuple[BlockPlan | None, str | None]:
+    """Classify *loop* for the block tier, naming any rejection.
 
-
-def classify_block_loop(loop: Loop) -> tuple[BlockPlan | None, str | None]:
-    """Like :func:`analyze_block_loop` but names the rejection.
-
-    Returns ``(plan, None)`` for an eligible loop, else ``(None,
-    reason)`` with *reason* one of :data:`STATIC_FALLBACK_REASONS`.
+    *real_scalars* are the program's non-integer scalars, the only scalar
+    fold targets. Returns ``(plan, None)`` for an eligible loop, else
+    ``(None, reason)`` with *reason* one of
+    :data:`STATIC_FALLBACK_REASONS`.
     """
     if not (isinstance(loop.step, Const) and isinstance(loop.step.value, int)
             and loop.step.value >= 1):
         return None, "non_const_step"
-    for stmt in loop.body:
-        if not isinstance(stmt, Assign) or not isinstance(stmt.target, ArrayRef):
-            return None, "non_assign_body"
+    var = loop.var
+    body, mask = loop.body, None
+    if len(body) == 1 and isinstance(body[0], If) and not body[0].orelse:
+        body, mask = body[0].then, body[0].cond
+    if not body or not all(isinstance(stmt, Assign) for stmt in body):
+        return None, "non_assign_body"
+    folds: list[str | None] = []
+    for pos, stmt in enumerate(body):
+        op = _fold_op(stmt)
+        target = stmt.target
+        alone = op is not None and not any(
+            _touches(other, target) for k, other in enumerate(body) if k != pos
+        )
+        if isinstance(target, VarRef):
+            if not (alone and target.name in real_scalars
+                    and _float_valued(stmt.value.rhs)):
+                return None, "non_assign_body"
+        elif not (alone and _invariant(target, var)):
+            op = None  # an elementwise update such as A(i) = A(i) + B(i)
         if not _value_ok(stmt.value):
             return None, "non_vector_value"
+        folds.append(op)
+    assigned = {s.target.name for s in body if isinstance(s.target, VarRef)}
+    if mask is not None and not _mask_ok(mask, assigned):
+        return None, "non_assign_body"
 
-    var = loop.var
     patterns: list[tuple[str, tuple[Expr, ...]]] = []
     pattern_ids: dict[tuple[str, tuple[Expr, ...]], int] = {}
 
@@ -194,30 +324,34 @@ def classify_block_loop(loop: Loop) -> tuple[BlockPlan | None, str | None]:
     # (pattern, is_write, stmt position) in event-emission order.
     accesses: list[BlockAccess] = []
     ordered: list[tuple[int, bool, int]] = []
-    for pos, stmt in enumerate(loop.body):
-        assert isinstance(stmt, Assign) and isinstance(stmt.target, ArrayRef)
+    fold_pids: set[int] = set()
+    for pos, stmt in enumerate(body):
         for ref in _reads_in_order(stmt.value):
             pid = pattern_id(ref)
             if pid is None:
                 return None, "non_affine_subscript"
             ordered.append((pid, False, pos))
             accesses.append(BlockAccess(pid, False, ref.name))
+        if isinstance(stmt.target, VarRef):
+            continue  # a scalar fold: register-resident, no event
         pid = pattern_id(stmt.target)
         if pid is None:
             return None, "non_affine_subscript"
         ordered.append((pid, True, pos))
         accesses.append(BlockAccess(pid, True, stmt.target.name))
+        if folds[pos] is not None:
+            fold_pids.add(pid)
 
-    write_patterns = tuple(sorted({pid for pid, w, _ in ordered if w}))
+    write_patterns = tuple(sorted({pid for pid, w, _ in ordered if w} - fold_pids))
     pairs: list[tuple[int, int, bool]] = []
     seen: set[tuple[int, int, bool]] = set()
     for wpid, w_is_write, wpos in ordered:
-        if not w_is_write:
+        if not w_is_write or wpid in fold_pids:
             continue
         warr = patterns[wpid][0]
         for opid, o_is_write, opos in ordered:
-            if patterns[opid][0] != warr:
-                continue
+            if patterns[opid][0] != warr or opid in fold_pids:
+                continue  # fold targets: fold_reach covers every partner
             if opid == wpid:
                 continue  # identical index shape: same-iteration only
             if o_is_write and opos <= wpos:
@@ -231,12 +365,22 @@ def classify_block_loop(loop: Loop) -> tuple[BlockPlan | None, str | None]:
             if key not in seen:
                 seen.add(key)
                 pairs.append(key)
+    fold_reach = []
+    for f in sorted(fold_pids):
+        others = tuple(p for p, (arr, _) in enumerate(patterns)
+                       if arr == patterns[f][0] and p != f)
+        if others:
+            fold_reach.append((f, others))
     return BlockPlan(
         loop=loop,
+        body=tuple(body),
+        mask=mask,
+        folds=tuple(folds),
         patterns=tuple(patterns),
         accesses=tuple(accesses),
         write_patterns=write_patterns,
         pairs=tuple(pairs),
+        fold_reach=tuple(fold_reach),
     ), None
 
 
@@ -264,22 +408,37 @@ def _pair_unsafe(
     return True
 
 
+def _reaches(a: int, b: int, element: int, trip: int) -> bool:
+    """Does pattern ``a*t + b`` hit *element* for some ``0 <= t < trip``?"""
+    d = element - b
+    if a == 0:
+        return d == 0
+    return d % a == 0 and 0 <= d // a <= trip - 1
+
+
 def block_guard(
     ab: tuple[tuple[int, int], ...],
     writes: tuple[int, ...],
     pairs: tuple[tuple[int, int, bool], ...],
+    fold_reach: tuple[tuple[int, tuple[int, ...]], ...],
     trip: int,
 ) -> bool:
     """Runtime go/no-go for one block-loop entry.
 
     ``ab[p]`` is the concrete ``(slope, intercept)`` of pattern ``p``'s
-    linear element index over 0-based iteration numbers. True means the
+    linear element index over 0-based iteration numbers (``None`` for
+    patterns outside :attr:`BlockPlan.guarded_patterns`). True means the
     vectorized schedule is provably order-equivalent to the scalar tier
     for this entry; False routes the entry to the scalar fallback.
     """
     for w in writes:
         if ab[w][0] == 0:
             return False  # invariant write target: a recurrence shape
+    for f, others in fold_reach:
+        element = ab[f][1]  # slope 0: fold targets are loop-invariant
+        for o in others:
+            if _reaches(*ab[o], element, trip):
+                return False
     for wpid, opid, need_pos in pairs:
         aw, bw = ab[wpid]
         ar, br = ab[opid]

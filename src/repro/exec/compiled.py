@@ -11,10 +11,12 @@ selected per innermost loop:
   trace event) — the oracle, able to run any program;
 - the **block tier** (``exec_mode="block"``, the default) compiles an
   eligible innermost ``Loop`` — straight-line affine ``Assign`` bodies
-  with no blocking loop-carried dependence, see
-  :mod:`repro.exec.blocktier` — into whole-trip NumPy operations: one
-  gather/compute/scatter per statement and one ``(trip, events/iter)``
-  int64 event matrix raveled into the trace stream per loop entry.
+  and sum folds, optionally under one affine guard, with no blocking
+  loop-carried dependence, see :mod:`repro.exec.blocktier` — into
+  whole-trip NumPy operations: one gather/compute/scatter (or one
+  sequential accumulate) per statement, one ``(trip, events/iter)``
+  int64 event matrix raveled into the trace stream per loop entry and,
+  under a guard, one branch event per iteration.
   Static per-iteration :class:`_Costs` are multiplied by the trip count,
   so counters stay exact; a runtime dependence guard routes unsafe loop
   *entries* to the scalar fallback, keeping traces, values and counters
@@ -27,9 +29,9 @@ debugging path). :meth:`CompiledProgram.run_streaming` instead flushes the
 event buffers to :class:`~repro.machine.sinks.TraceSink` consumers in
 bounded NumPy chunks: the generated scalar-tier code checks the buffer
 level at every loop-iteration boundary and drains through the sinks, and
-block-tier loops hand their event matrices to the same flush machinery as
-ready-made int64 arrays. Memory events from both tiers are coalesced into
-full ``chunk_events`` chunks before they reach the sink.
+block-tier loops hand their event matrices and branch vectors to the same
+flush machinery as ready-made int64 arrays. Events of both tiers are
+coalesced into full ``chunk_events`` chunks before they reach a sink.
 
 Cost accounting model (documented in DESIGN.md):
 
@@ -53,7 +55,6 @@ from repro import telemetry
 from repro.errors import ExecutionError
 from repro.exec.blocktier import (
     BlockPlan,
-    analyze_block_loop,
     block_guard,
     classify_block_loop,
     resolve_min_block_trip,
@@ -80,6 +81,7 @@ from repro.ir.expr import (
     Select,
     UnOp,
     VarRef,
+    free_names,
     map_expr,
 )
 from repro.ir.program import Program
@@ -108,6 +110,64 @@ def resolve_exec_mode(override: str | None = None) -> str:
 
 def _noop_flush() -> None:
     return None
+
+
+class _ChunkQueue:
+    """Coalesces one event stream into ``size``-long chunks for a sink.
+
+    Events arrive in program order and in any sizes (scalar-tier buffers,
+    block-tier matrices and branch vectors); the sink receives only full
+    ``size`` slices, plus the shorter remainder at :meth:`close`. Between
+    pushes fewer than ``size`` events are held.
+    """
+
+    __slots__ = ("feed", "size", "pending", "held")
+
+    def __init__(self, sink, size: int) -> None:
+        # The kernel runs under _fp_errstate(); the sink runs under the
+        # float error state of the caller that created the queue.
+        errs = np.geterr()
+
+        def feed(chunk: np.ndarray) -> None:
+            with np.errstate(**errs):
+                sink.feed(chunk)
+
+        self.feed = feed
+        self.size = size
+        self.pending: list[np.ndarray] = []
+        self.held = 0
+
+    def push(self, events: np.ndarray) -> None:
+        """Append fresh *events*; feed every full slice."""
+        size, pending = self.size, self.pending
+        pending.append(events)
+        self.held += len(events)
+        if self.held < size:
+            return
+        # Only the first chunk straddles queued arrays; the rest are
+        # views of the newest one.
+        newest = pending.pop()
+        cut = size - (self.held - len(newest))
+        first = newest[:cut]
+        if pending:
+            first = np.concatenate((*pending, first))
+            pending.clear()
+        feed = self.feed
+        feed(first)
+        rest = newest[cut:]
+        full = len(rest) - len(rest) % size
+        for off in range(0, full, size):
+            feed(rest[off : off + size])
+        self.held = len(rest) - full
+        if self.held:
+            pending.append(rest[full:].copy())
+
+    def close(self) -> None:
+        """Feed the held remainder, if any."""
+        if self.pending:
+            self.feed(np.concatenate(self.pending))
+            self.pending.clear()
+            self.held = 0
 
 
 class TierFallbacks:
@@ -140,9 +200,27 @@ class TierFallbacks:
 
 
 def _fp_errstate():
-    """Error state under which block-tier float math runs: raise where the
-    scalar tier would raise (division by zero, invalid sqrt)."""
-    return np.errstate(divide="raise", invalid="raise", over="ignore")
+    """Error state a generated kernel runs under, so block-tier float math
+    is silent like Python floats (``inf - inf`` is NaN, overflow is
+    ``inf``). The two float errors the scalar tier raises are checked
+    explicitly by :func:`_block_div` and :func:`_block_sqrt`."""
+    return np.errstate(all="ignore")
+
+
+def _block_div(lhs, rhs):
+    """``lhs / rhs`` raising where Python's float division does: on any
+    zero divisor (``nan/0`` and ``inf/0`` included)."""
+    if np.any(rhs == 0):
+        raise ZeroDivisionError("float division by zero")
+    return lhs / rhs
+
+
+def _block_sqrt(x):
+    """``sqrt(x)`` raising where ``math.sqrt`` does: on any operand below
+    zero (``-inf`` included; ``-0.0`` and NaN pass)."""
+    if np.any(x < 0):
+        raise ValueError("math domain error")
+    return np.sqrt(x)
 
 
 def _py(name: str) -> str:
@@ -182,11 +260,14 @@ class _Codegen:
         self.program = program
         self.trace = trace
         self.block_tier = block_tier
+        self.real_scalars = frozenset(
+            s.name for s in program.scalars if s.dtype != "i8"
+        )
         # Storage representation must be fixed before any statement is
-        # emitted (scalar-tier subscript/value reads are wrapped for
+        # emitted (scalar-tier reads and writes go through memoryviews of
         # ndarray storage), so pre-scan for block-eligible loops.
         self.ndarray_storage = block_tier and any(
-            isinstance(s, Loop) and analyze_block_loop(s) is not None
+            isinstance(s, Loop) and self._classify(s)[0] is not None
             for s in walk_stmts(program.body)
         )
         self.block_loops = 0
@@ -196,6 +277,9 @@ class _Codegen:
         self.array_ids = {a.name: i for i, a in enumerate(program.arrays)}
         self.ranks = {a.name: a.rank for a in program.arrays}
         self.branch_sites: dict[int, str] = {}
+        #: Site id the next ``If`` takes instead of a fresh one: a guarded
+        #: block body and its scalar fallback share one branch site.
+        self._reserved_site: int | None = None
         self._tmp = 0
         self.lines: list[str] = []
 
@@ -203,6 +287,9 @@ class _Codegen:
     def fresh(self, base: str) -> str:
         self._tmp += 1
         return f"_{base}{self._tmp}"
+
+    def _classify(self, loop: Loop):
+        return classify_block_loop(loop, self.real_scalars)
 
     def _site(self, cond: Expr) -> int:
         site = len(self.branch_sites)
@@ -255,13 +342,13 @@ class _Codegen:
             if self.trace:
                 code = memory_event_base(self.array_ids[expr.name], False)
                 lines.append(f"{indent}_ma({code} + {lin})")
-            elem = f"{_py(expr.name)}[{lin}]"
             if self.ndarray_storage:
-                # Keep scalar-tier semantics identical to list storage:
-                # subscript positions need Python ints, value positions
-                # plain floats (np.float64 round-trips bit-exactly).
-                return f"int({elem})" if in_subscript else f"float({elem})"
-            return elem
+                # A memoryview item is a plain Python float, so scalar-tier
+                # semantics match list storage (and it reads ~4x faster
+                # than indexing the ndarray); subscripts need Python ints.
+                elem = f"_view_{expr.name}[{lin}]"
+                return f"int({elem})" if in_subscript else elem
+            return f"{_py(expr.name)}[{lin}]"
         if isinstance(expr, BinOp):
             lhs = self._expr(expr.lhs, lines, indent, costs, in_subscript=in_subscript)
             rhs = self._expr(expr.rhs, lines, indent, costs, in_subscript=in_subscript)
@@ -377,7 +464,8 @@ class _Codegen:
         if self.trace:
             code = memory_event_base(self.array_ids[target.name], True)
             lines.append(f"{indent}_ma({code} + {lin})")
-        lines.append(f"{indent}{_py(target.name)}[{lin}] = {tmp}")
+        store = f"_view_{target.name}" if self.ndarray_storage else _py(target.name)
+        lines.append(f"{indent}{store}[{lin}] = {tmp}")
 
     def _if(self, stmt: If, lines: list[str], indent: str, costs: _Costs) -> None:
         cond = self._expr(stmt.cond, lines, indent, costs)
@@ -385,7 +473,10 @@ class _Codegen:
         tmp = self.fresh("c")
         lines.append(f"{indent}{tmp} = {cond}")
         if self.trace:
-            site = self._site(stmt.cond)
+            site = self._reserved_site
+            self._reserved_site = None
+            if site is None:
+                site = self._site(stmt.cond)
             lines.append(f"{indent}_ba({site * 2} + (1 if {tmp} else 0))")
         lines.append(f"{indent}if {tmp}:")
         self.lines.extend(lines)
@@ -410,7 +501,7 @@ class _Codegen:
         self.lines.extend(head)
         costs.emit(self.lines, indent)
         plan, reason = (
-            classify_block_loop(stmt) if self.block_tier else (None, "exec_mode")
+            self._classify(stmt) if self.block_tier else (None, "exec_mode")
         )
         if not any(isinstance(s, Loop) for s in walk_stmts(stmt.body)):
             tier = "scalar" if plan is None else "block"
@@ -469,33 +560,96 @@ class _Codegen:
         self.lines.append(f"{indent}{tmp} = {expr}")
         return tmp
 
-    def _vec_expr(self, expr: Expr, reads, px: dict[int, str]) -> str:
-        """NumPy-elementwise code for a block-eligible value expression.
+    def _vec_expr(
+        self, expr: Expr, reads, px: dict[int, str], var: str, iv: str
+    ) -> str:
+        """NumPy-elementwise code for a block-eligible value expression or
+        mask condition.
 
         *reads* is an iterator over the statement's read accesses in the
         scalar tier's emission order; *px* maps pattern id -> the name of
-        its precomputed index vector.
+        its precomputed index vector; the loop variable *var* reads as the
+        iteration vector *iv*.
         """
+
+        def sub(e: Expr) -> str:
+            return self._vec_expr(e, reads, px, var, iv)
+
         if isinstance(expr, Const):
             return repr(expr.value)
         if isinstance(expr, VarRef):
-            return _py(expr.name)
+            return iv if expr.name == var else _py(expr.name)
         if isinstance(expr, ArrayRef):
             acc = next(reads)
             return f"{_py(expr.name)}[{px[acc.pattern]}]"
         if isinstance(expr, BinOp):
-            lhs = self._vec_expr(expr.lhs, reads, px)
-            rhs = self._vec_expr(expr.rhs, reads, px)
+            lhs, rhs = sub(expr.lhs), sub(expr.rhs)
+            if expr.op == "/":
+                return f"_vdiv({lhs}, {rhs})"
             return f"({lhs} {expr.op} {rhs})"
         if isinstance(expr, UnOp):
-            return f"(-{self._vec_expr(expr.operand, reads, px)})"
+            return f"(-{sub(expr.operand)})"
         if isinstance(expr, Call):
-            args = [self._vec_expr(a, reads, px) for a in expr.args]
             if expr.func == "sqrt":
-                return f"_npsqrt({args[0]})"
+                return f"_vsqrt({sub(expr.args[0])})"
             if expr.func == "abs":
-                return f"_npabs({args[0]})"
+                return f"_npabs({sub(expr.args[0])})"
+        # Mask conditions: every operand is boolean-valued (a comparison
+        # or logic node), so & | equal Python's and / or.
+        if isinstance(expr, Cmp):
+            return f"({sub(expr.lhs)} {_CMP_PY[expr.op]} {sub(expr.rhs)})"
+        if isinstance(expr, LogicalAnd):
+            return "(" + " & ".join(sub(a) for a in expr.args) + ")"
+        if isinstance(expr, LogicalOr):
+            return "(" + " | ".join(sub(a) for a in expr.args) + ")"
+        if isinstance(expr, LogicalNot):
+            return f"_np.logical_not({sub(expr.arg)})"
         raise ExecutionError(f"not block-vectorizable: {expr!r}")
+
+    def _emit_block_body(
+        self, stmt: Loop, plan: BlockPlan, iv: str, n: str, indent: str
+    ) -> None:
+        """Gather/compute/scatter of every body statement over the
+        iteration vector *iv* (length *n*), then the event matrix."""
+        px: dict[int, str] = {}
+        for pid, (array, indices) in enumerate(plan.patterns):
+            px[pid] = self._emit_lin_at(array, indices, stmt.var, iv, indent)
+        reads = iter(plan.accesses)
+        for body_stmt, fold in zip(plan.body, plan.folds):
+            target = body_stmt.target
+            if fold is None:
+                val = self._vec_expr(body_stmt.value, reads, px, stmt.var, iv)
+                store = px[next(reads).pattern]
+                self.lines.append(f"{indent}{_py(target.name)}[{store}] = {val}")
+                continue
+            # A sum fold: one sequential accumulate seeded with the
+            # incoming value of the target (sum/reduce are pairwise).
+            if isinstance(target, ArrayRef):
+                slot = f"{_py(target.name)}[{px[next(reads).pattern]}]"
+            else:
+                slot = _py(target.name)
+            terms = self._vec_expr(body_stmt.value.rhs, reads, px, stmt.var, iv)
+            acc = self.fresh("f")
+            ufunc = "add" if fold == "+" else "subtract"
+            self.lines.append(f"{indent}{acc} = _np.empty({n} + 1)")
+            self.lines.append(f"{indent}{acc}[0] = {slot}")
+            self.lines.append(f"{indent}{acc}[1:] = {terms}")
+            total = f"_np.{ufunc}.accumulate({acc})[-1]"
+            if isinstance(target, ArrayRef):
+                next(reads)  # the fold's write of its target
+                self.lines.append(f"{indent}{slot} = {total}")
+            else:
+                self.lines.append(f"{indent}{slot} = float({total})")
+        if self.trace and plan.accesses:
+            k = len(plan.accesses)
+            ev = self.fresh("E")
+            self.lines.append(f"{indent}{ev} = _np.empty(({n}, {k}), dtype=_np.int64)")
+            for col, acc in enumerate(plan.accesses):
+                base = memory_event_base(self.array_ids[acc.array], acc.is_write)
+                self.lines.append(
+                    f"{indent}_np.add({px[acc.pattern]}, {base}, out={ev}[:, {col}])"
+                )
+            self.lines.append(f"{indent}_mv({ev}.reshape(-1))")
 
     def _emit_two_tier_loop(
         self, stmt: Loop, plan: BlockPlan, indent: str, lo: str, hi: str
@@ -514,23 +668,31 @@ class _Codegen:
             f"if {hi_v} >= {lo_v} else 0"
         )
         # Runtime dependence guard: concrete (slope, intercept) per access
-        # pattern, affinely extrapolated from the first two lattice points.
+        # pattern it checks, affinely extrapolated from the first two
+        # lattice points.
         self.lines.append(f"{indent}if {trip} >= _mbt:")
-        v0, v1 = self.fresh("q"), self.fresh("q")
-        self.lines.append(f"{ind2}{v0} = {lo_v}")
-        self.lines.append(f"{ind2}{v1} = {lo_v} + {step}")
-        ab_parts = []
-        for array, indices in plan.patterns:
-            b_name = self._emit_lin_at(array, indices, stmt.var, v0, ind2)
-            at_next = self._emit_lin_at(array, indices, stmt.var, v1, ind2)
-            a_name = self.fresh("a")
-            self.lines.append(f"{ind2}{a_name} = {at_next} - {b_name}")
-            ab_parts.append(f"({a_name}, {b_name})")
-        self.lines.append(
-            f"{ind2}{ok} = _bg(({', '.join(ab_parts)},), "
-            f"{plan.write_patterns!r}, {plan.pairs!r}, {trip})"
-        )
-        self.lines.append(f"{ind2}if not {ok}: _fbg()")
+        guarded = plan.guarded_patterns
+        if guarded:
+            v0, v1 = self.fresh("q"), self.fresh("q")
+            self.lines.append(f"{ind2}{v0} = {lo_v}")
+            self.lines.append(f"{ind2}{v1} = {lo_v} + {step}")
+            ab_parts = []
+            for pid, (array, indices) in enumerate(plan.patterns):
+                if pid not in guarded:
+                    ab_parts.append("None, ")
+                    continue
+                b_name = self._emit_lin_at(array, indices, stmt.var, v0, ind2)
+                at_next = self._emit_lin_at(array, indices, stmt.var, v1, ind2)
+                a_name = self.fresh("a")
+                self.lines.append(f"{ind2}{a_name} = {at_next} - {b_name}")
+                ab_parts.append(f"({a_name}, {b_name}), ")
+            self.lines.append(
+                f"{ind2}{ok} = _bg(({''.join(ab_parts)}), {plan.write_patterns!r}, "
+                f"{plan.pairs!r}, {plan.fold_reach!r}, {trip})"
+            )
+            self.lines.append(f"{ind2}if not {ok}: _fbg()")
+        else:
+            self.lines.append(f"{ind2}{ok} = True")
         self.lines.append(f"{indent}else:")
         self.lines.append(f"{indent}    {ok} = False")
         self.lines.append(f"{indent}    if {trip} > 0: _fbt()")
@@ -540,40 +702,50 @@ class _Codegen:
         self.lines.append(
             f"{ind2}{iv} = _np.arange({lo_v}, {hi_v} + 1, {step}, dtype=_np.int64)"
         )
-        px: dict[int, str] = {}
-        for pid, (array, indices) in enumerate(plan.patterns):
-            px[pid] = self._emit_lin_at(array, indices, stmt.var, iv, ind2)
-        self.lines.append(f"{ind2}with _fpe():")
-        ind3 = ind2 + "    "
-        acc_iter = iter(plan.accesses)
-        for body_stmt in stmt.body:
-            assert isinstance(body_stmt, Assign)
-            assert isinstance(body_stmt.target, ArrayRef)
-            val = self._vec_expr(body_stmt.value, acc_iter, px)
-            wacc = next(acc_iter)
-            self.lines.append(
-                f"{ind3}{_py(body_stmt.target.name)}[{px[wacc.pattern]}] = {val}"
-            )
-        if self.trace:
-            k = len(plan.accesses)
-            ev = self.fresh("E")
-            self.lines.append(
-                f"{ind2}{ev} = _np.empty(({trip}, {k}), dtype=_np.int64)"
-            )
-            for col, acc in enumerate(plan.accesses):
-                base = memory_event_base(self.array_ids[acc.array], acc.is_write)
-                self.lines.append(f"{ind2}{ev}[:, {col}] = {base} + {px[acc.pattern]}")
-            self.lines.append(f"{ind2}_mv({ev}.reshape(-1))")
-        # Static per-iteration costs, scaled by the trip count. The probe
-        # replays the scalar tier's codegen against scratch buffers so the
-        # counts are the scalar path's, by construction.
-        probe = _Costs()
-        probe.loop_iters += 1
-        probe.intops += 2
+        # Static costs: per iteration (loop control, plus a mask's
+        # condition and branch) times the trip, the body's times the
+        # iterations it runs. The probe replays the scalar tier's codegen
+        # against scratch buffers, so the counts are the scalar path's by
+        # construction.
         scratch: list[str] = []
-        for body_stmt in stmt.body:
-            self._assign(body_stmt, scratch, ind2, probe)
-        probe.emit_scaled(self.lines, ind2, trip)
+        head = _Costs()
+        head.loop_iters += 1
+        head.intops += 2
+        body_costs = head if plan.mask is None else _Costs()
+        for body_stmt in plan.body:
+            self._assign(body_stmt, scratch, ind2, body_costs)
+        if plan.mask is None:
+            self._emit_block_body(stmt, plan, iv, trip, ind2)
+            head.emit_scaled(self.lines, ind2, trip)
+        else:
+            # Guarded body: the condition as a mask over the trip, one
+            # branch event per iteration, the body on the taken ones.
+            self._expr(plan.mask, scratch, ind2, head)
+            head.branches += 1
+            head.emit_scaled(self.lines, ind2, trip)
+            mask, taken, n = self.fresh("m"), self.fresh("iv"), self.fresh("n")
+            cond = self._vec_expr(plan.mask, iter(()), {}, stmt.var, iv)
+            self.lines.append(f"{ind2}{mask} = {cond}")
+            # A condition that reads the loop variable evaluates to a
+            # (trip,) boolean vector; any other is one loop-invariant bool.
+            varies = stmt.var in free_names(plan.mask)
+            if self.trace:
+                site = self._site(plan.mask)
+                events = (
+                    f"_np.where({mask}, {site * 2 + 1}, {site * 2})" if varies else
+                    f"_np.full({trip}, {site * 2 + 1} if {mask} else {site * 2})"
+                )
+                self.lines.append(f"{ind2}_bv({events})")
+                self._reserved_site = site  # for the fallback's If
+            if varies:
+                self.lines.append(f"{ind2}{taken} = {iv}[{mask}]")
+                self.lines.append(f"{ind2}{n} = len({taken})")
+            else:
+                self.lines.append(f"{ind2}{taken} = {iv}")
+                self.lines.append(f"{ind2}{n} = {trip} if {mask} else 0")
+            self.lines.append(f"{ind2}if {n}:")
+            self._emit_block_body(stmt, plan, taken, n, ind2 + "    ")
+            body_costs.emit_scaled(self.lines, ind2 + "    ", n)
 
         self.lines.append(f"{indent}else:")
         self._emit_scalar_loop(stmt, indent + "    ", lo_v, hi_v, str(step))
@@ -583,13 +755,15 @@ class _Codegen:
         p = self.program
         ind = "    "
         out: list[str] = [
-            "def _kernel(_params, _arrays, _exts, _mem, _bra, _cap, _flush, _mv):"
+            "def _kernel(_params, _arrays, _exts, _mem, _bra, _cap, _flush, _mv, _bv):"
         ]
         out.append(f"{ind}_sqrt = _math.sqrt")
         for name in p.params:
             out.append(f"{ind}{_py(name)} = _params[{name!r}]")
         for a in p.arrays:
             out.append(f"{ind}{_py(a.name)} = _arrays[{a.name!r}]")
+            if self.ndarray_storage:
+                out.append(f"{ind}_view_{a.name} = memoryview({_py(a.name)})")
             for d in range(a.rank - 1):
                 # stride of dimension d+1 = product of extents 0..d
                 prod = "*".join(f"_exts[{a.name!r}][{e}]" for e in range(d + 1))
@@ -662,11 +836,11 @@ class CompiledProgram:
             namespace: dict = {
                 "_math": math,
                 "_np": np,
-                "_npsqrt": np.sqrt,
                 "_npabs": np.abs,
+                "_vdiv": _block_div,
+                "_vsqrt": _block_sqrt,
                 "_bg": block_guard,
                 "_mbt": self.min_block_trip,
-                "_fpe": _fp_errstate,
                 "_fbg": self.fallbacks.guard,
                 "_fbt": self.fallbacks.trip,
             }
@@ -704,7 +878,8 @@ class CompiledProgram:
 
         Storage is a flat column-major Python list per array on the scalar
         tier and a flat float64 ndarray when any loop has a block path
-        (gather/scatter needs ndarrays; scalar statements index either).
+        (gather/scatter needs ndarrays; scalar statements then go through
+        a ``memoryview`` of each, whose items are Python floats).
         """
         inputs = inputs or {}
         p = self.program
@@ -743,7 +918,8 @@ class CompiledProgram:
         bra: list[int],
         cap: int,
         flush,
-        emit_vec,
+        emit_mem,
+        emit_bra,
     ) -> tuple[Counters, dict[str, float]]:
         """Call the generated kernel and package counters."""
         fb = self.fallbacks
@@ -752,10 +928,12 @@ class CompiledProgram:
             "exec.run", program=self.program.name, mode=self.exec_mode
         ) as sp:
             try:
-                (loads, stores, flops, intops, branches, iters, scalars) = self._fn(
-                    dict(params), storage, exts, mem, bra, cap, flush, emit_vec
-                )
-            except (IndexError, ZeroDivisionError, KeyError, FloatingPointError) as exc:
+                with _fp_errstate():
+                    (loads, stores, flops, intops, branches, iters, scalars) = self._fn(
+                        dict(params), storage, exts, mem, bra, cap, flush,
+                        emit_mem, emit_bra,
+                    )
+            except (IndexError, ZeroDivisionError, KeyError, ValueError) as exc:
                 raise ExecutionError(
                     f"runtime failure in {self.program.name}: {exc}"
                 ) from exc
@@ -810,15 +988,14 @@ class CompiledProgram:
         mem: list[int] = []
         bra: list[int] = []
 
-        def emit_vec(chunk: np.ndarray) -> None:
-            # Block-tier event matrices join the same materialized buffer
-            # the scalar tier appends to, preserving program order.
-            mem.extend(chunk.tolist())
-
-        # A cap no run reaches: the flush guard never fires, so the
-        # buffers simply accumulate the whole trace.
+        # Block-tier event arrays join the same materialized buffers the
+        # scalar tier appends to, preserving program order. A cap no run
+        # reaches: the flush guard never fires, so the buffers simply
+        # accumulate the whole trace.
         counters, scalars = self._execute(
-            params, exts, storage, mem, bra, _NEVER_FLUSH, _noop_flush, emit_vec
+            params, exts, storage, mem, bra, _NEVER_FLUSH, _noop_flush,
+            lambda chunk: mem.extend(chunk.tolist()),
+            lambda chunk: bra.extend(chunk.tolist()),
         )
         trace = None
         if self.trace:
@@ -847,17 +1024,17 @@ class CompiledProgram:
         chunks. The caller owns the sinks' lifecycle and calls their
         ``finish()`` afterwards.
 
-        Memory chunks are coalesced across both tiers: scalar-tier
+        Both streams are coalesced across both tiers: scalar-tier
         buffers (drained at iteration boundaries once ``chunk_events``
         events are pending) and block-tier loop entries (one
-        ``trip * events_per_iteration`` matrix each) queue up in program
-        order, and ``memory_sink`` only ever receives ``chunk_events``-long
-        slices of that queue, plus one shorter final chunk at the end of
+        ``trip * events_per_iteration`` memory matrix and, for a guarded
+        body, one ``trip``-long branch vector each) queue up in program
+        order, and each sink only ever receives ``chunk_events``-long
+        slices of its queue, plus one shorter final chunk at the end of
         the run. A run with ``E`` memory events therefore feeds exactly
-        ``ceil(E / chunk_events)`` memory chunks, and the queue holds at
-        most ``chunk_events`` events plus one block matrix and one scalar
-        buffer. Branch chunks (scalar tier only) are at most
-        ``chunk_events`` plus the events of one innermost loop iteration.
+        ``ceil(E / chunk_events)`` memory chunks (likewise for branch
+        events), and a queue holds at most ``chunk_events`` events plus
+        one block-tier array and one scalar buffer.
         """
         if not self.trace:
             raise ExecutionError("run_streaming() needs a traced program (trace=True)")
@@ -866,60 +1043,37 @@ class CompiledProgram:
         exts, storage = self._prepare(params, inputs)
         mem: list[int] = []
         bra: list[int] = []
-        # Memory events not yet fed, in program order; always fewer than
-        # `chunk_events` between calls of `queue`.
-        pending: list[np.ndarray] = []
-        held = 0
+        queues = [
+            None if sink is None else _ChunkQueue(sink, chunk_events)
+            for sink in (memory_sink, branch_sink)
+        ]
 
-        def queue(events: np.ndarray) -> None:
-            """Append events; feed every full `chunk_events` slice."""
-            nonlocal held
-            pending.append(events)
-            held += len(events)
-            if held < chunk_events:
-                return
-            # Only the first chunk straddles queued arrays; the rest are
-            # views of the newest one (block matrices are fresh arrays).
-            newest = pending.pop()
-            cut = chunk_events - (held - len(newest))
-            first = newest[:cut]
-            if pending:
-                first = np.concatenate((*pending, first))
-                pending.clear()
-            feed = memory_sink.feed
-            feed(first)
-            rest = newest[cut:]
-            full = len(rest) - len(rest) % chunk_events
-            for off in range(0, full, chunk_events):
-                feed(rest[off : off + chunk_events])
-            held = len(rest) - full
-            if held:
-                pending.append(rest[full:].copy())
-
-        def drain_scalar() -> None:
-            if mem:
-                if memory_sink is not None:
-                    queue(np.asarray(mem, dtype=np.int64))
-                mem.clear()
+        def drain(buf: list[int], queue: _ChunkQueue | None) -> None:
+            if buf:
+                if queue is not None:
+                    queue.push(np.asarray(buf, dtype=np.int64))
+                buf.clear()
 
         def flush() -> None:
-            drain_scalar()
-            if bra:
-                if branch_sink is not None:
-                    branch_sink.feed(np.asarray(bra, dtype=np.int64))
-                bra.clear()
+            drain(mem, queues[0])
+            drain(bra, queues[1])
 
-        def emit_vec(chunk: np.ndarray) -> None:
-            drain_scalar()
-            if memory_sink is not None and len(chunk):
-                queue(chunk)
+        def emitter(buf: list[int], queue: _ChunkQueue | None):
+            def emit(chunk: np.ndarray) -> None:
+                drain(buf, queue)
+                if queue is not None and len(chunk):
+                    queue.push(chunk)
+
+            return emit
 
         counters, scalars = self._execute(
-            params, exts, storage, mem, bra, chunk_events, flush, emit_vec
+            params, exts, storage, mem, bra, chunk_events, flush,
+            emitter(mem, queues[0]), emitter(bra, queues[1]),
         )
         flush()  # tail events after the last loop boundary
-        if pending:
-            memory_sink.feed(np.concatenate(pending))
+        for queue in queues:
+            if queue is not None:
+                queue.close()
         return self._result(exts, storage, counters, scalars, trace=None)
 
 

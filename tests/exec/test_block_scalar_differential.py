@@ -17,7 +17,8 @@ from repro.errors import ExecutionError
 from repro.exec.compiled import CompiledProgram, resolve_exec_mode
 from repro.experiments.runner import build_program
 from repro.experiments.sweep import default_config
-from repro.ir.builder import assign, idx, loop, sym
+from repro.ir.builder import assign, idx, loop, sqrt, sym
+from repro.ir.expr import BinOp
 from repro.ir.program import ArrayDecl, Program
 from repro.kernels.registry import ALL_KERNELS, get_kernel, variants_for
 from repro.machine.perfcounters import measure_streaming
@@ -164,3 +165,78 @@ def test_exec_mode_resolution(monkeypatch):
     assert resolve_exec_mode() == "scalar"
     with pytest.raises(ExecutionError):
         resolve_exec_mode("vector")
+
+
+def _elementwise(value):
+    """``A(i) = value`` over ``i = 1..N`` with inputs B and C."""
+    return Program(
+        "ew",
+        ("N",),
+        tuple(ArrayDecl(name, (sym("N"),)) for name in "ABC"),
+        (),
+        (loop("i", 1, sym("N"), [assign(idx("A", sym("i")), value)]),),
+    )
+
+
+#: (value, B, C, raises): the float-error contract of both tiers. Python
+#: raises on any zero divisor and any sqrt operand below zero, and on
+#: nothing else (inf - inf is NaN).
+FLOAT_ERROR_CASES = {
+    "nan/0": ("div", np.nan, 0.0, True),
+    "inf/0": ("div", np.inf, 0.0, True),
+    "inf-inf": ("sub", np.inf, np.inf, False),
+    "sqrt(-1)": ("sqrt", -1.0, 1.0, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_ERROR_CASES))
+def test_float_errors_agree(case):
+    kind, b, c, raises = FLOAT_ERROR_CASES[case]
+    i = sym("i")
+    value = {
+        "div": BinOp("/", idx("B", i), idx("C", i)),
+        "sub": idx("B", i) - idx("C", i),
+        "sqrt": sqrt(idx("B", i)),
+    }[kind]
+    program = _elementwise(value)
+    inputs = {"B": np.full(20, 2.0), "C": np.full(20, 4.0)}
+    inputs["B"][7], inputs["C"][7] = b, c
+    scalar, block = _compile_pair(program)
+    assert block.block_loops == 1
+    if raises:
+        for cp in (scalar, block):
+            with pytest.raises(ExecutionError):
+                cp.run({"N": 20}, inputs)
+        return
+    rs, rb = scalar.run({"N": 20}, inputs), block.run({"N": 20}, inputs)
+    assert block.fallbacks.guard_rejected == 0
+    assert np.array_equal(
+        rs.arrays["A"].view(np.int64), rb.arrays["A"].view(np.int64)
+    )
+
+
+def test_loop_variable_in_block_value():
+    """The loop variable in a value reads as the iteration vector."""
+    program = _elementwise(sym("i") * 1.5)
+    scalar, block = _compile_pair(program)
+    rs, rb = scalar.run({"N": 6}), block.run({"N": 6})
+    assert block.block_loops == 1
+    assert np.array_equal(rb.arrays["A"], np.arange(1, 7) * 1.5)
+    assert np.array_equal(rs.arrays["A"], rb.arrays["A"])
+    assert np.array_equal(rs.trace.memory, rb.trace.memory)
+
+
+@pytest.mark.parametrize("variant", ["seq", "tiled"])
+def test_qr_runs_on_the_block_tier(variant):
+    """QR's dot-product and norm folds and tiled QR's affine-guarded
+    update loop vectorize: no entry is guard-rejected and no innermost
+    loop is turned away for its body shape."""
+    program, params, inputs = _setup("qr", variant)
+    scalar, block = _compile_pair(program)
+    rs, rb = scalar.run(params, inputs), block.run(params, inputs)
+    assert block.fallbacks.guard_rejected == 0
+    assert all(reason != "non_assign_body" for _, _, reason in block.loop_tiers)
+    assert [tier for _, tier, _ in block.loop_tiers].count("scalar") == 0
+    assert np.array_equal(rs.trace.memory, rb.trace.memory)
+    assert np.array_equal(rs.trace.branches, rb.trace.branches)
+    assert rs.counters == rb.counters
