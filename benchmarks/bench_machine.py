@@ -28,7 +28,7 @@ from repro.experiments.runner import build_program
 from repro.kernels.registry import get_kernel
 from repro.machine.cache import CacheConfig, CacheSink
 from repro.machine.hierarchy import HierarchySink
-from repro.machine.layout import layout_for_run
+from repro.machine.layout import layout_for_program
 from repro.machine.perfcounters import measure_streaming
 from repro.machine.oracles import (
     filter_loads_reference,
@@ -277,7 +277,7 @@ def _jacobi_tiled_stream(sweep_config, n: int = 88) -> tuple[np.ndarray, np.ndar
     run = CompiledProgram(program, trace=True).run(params, inputs)
     aid, lin, rw = run.trace.memory_events()
     id_to_name = {v: k for k, v in run.array_ids.items()}
-    addrs = layout_for_run(run, program, params).addresses(aid, lin, id_to_name)
+    addrs = layout_for_program(program, params).addresses(aid, lin, id_to_name)
     return addrs, rw
 
 

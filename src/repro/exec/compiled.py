@@ -23,15 +23,16 @@ selected per innermost loop:
   bit-identical to ``exec_mode="scalar"`` (asserted by the differential
   suite in ``tests/exec/test_block_scalar_differential.py``).
 
-Traced runs come in two modes. :meth:`CompiledProgram.run` materializes
-the full trace into one :class:`~repro.exec.events.TraceBuffers` (the
-debugging path). :meth:`CompiledProgram.run_streaming` instead flushes the
-event buffers to :class:`~repro.machine.sinks.TraceSink` consumers in
-bounded NumPy chunks: the generated scalar-tier code checks the buffer
-level at every loop-iteration boundary and drains through the sinks, and
-block-tier loops hand their event matrices and branch vectors to the same
-flush machinery as ready-made int64 arrays. Events of both tiers are
-coalesced into full ``chunk_events`` chunks before they reach a sink.
+Every run goes through :meth:`CompiledProgram.run_streaming`, which
+flushes the event buffers to :class:`~repro.machine.sinks.TraceSink`
+consumers in bounded NumPy chunks: the generated scalar-tier code checks
+the buffer level at every loop-iteration boundary and drains through the
+sinks, and block-tier loops hand their event matrices and branch vectors
+to the same flush machinery as ready-made int64 arrays. Events of both
+tiers are coalesced into full ``chunk_events`` chunks before they reach a
+sink. :meth:`CompiledProgram.run` is the materializing debugging path: a
+streamed run into a collector whose chunk cap no run reaches, returned as
+one :class:`~repro.exec.events.TraceBuffers`.
 
 Cost accounting model (documented in DESIGN.md):
 
@@ -89,8 +90,8 @@ from repro.ir.stmt import Assign, If, Loop, Stmt, walk_stmts
 
 _CMP_PY = {"==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
-#: Buffer cap used by materializing runs — large enough that the flush
-#: guard in generated code never fires.
+#: Chunk cap of materializing runs — large enough that neither the flush
+#: guard in generated code nor a chunk queue ever fires before the end.
 _NEVER_FLUSH = 1 << 62
 
 #: Execution tiers a program can be compiled for.
@@ -106,10 +107,6 @@ def resolve_exec_mode(override: str | None = None) -> str:
             f"exec_mode must be one of {EXEC_MODES}, got {mode!r}"
         )
     return mode
-
-
-def _noop_flush() -> None:
-    return None
 
 
 class _ChunkQueue:
@@ -168,6 +165,17 @@ class _ChunkQueue:
             self.feed(np.concatenate(self.pending))
             self.pending.clear()
             self.held = 0
+
+
+class _Collector:
+    """Sink keeping the whole stream of a run whose chunk cap is never
+    reached: the queue's close feeds it one chunk (none if empty)."""
+
+    def __init__(self) -> None:
+        self.events = np.empty(0, dtype=np.int64)
+
+    def feed(self, chunk: np.ndarray) -> None:
+        self.events = chunk
 
 
 class TierFallbacks:
@@ -957,7 +965,6 @@ class CompiledProgram:
         storage: dict[str, object],
         counters: Counters,
         scalars: dict[str, float],
-        trace: TraceBuffers | None,
     ) -> RunResult:
         arrays = {
             name: np.asarray(vals, dtype=np.float64).reshape(exts[name], order="F")
@@ -967,7 +974,6 @@ class CompiledProgram:
             arrays=arrays,
             scalars=scalars,
             counters=counters,
-            trace=trace,
             array_ids=dict(self.array_ids),
             branch_sites=dict(self.branch_sites),
         )
@@ -984,26 +990,15 @@ class CompiledProgram:
         grows with the event count. Use :meth:`run_streaming` to replay
         the trace through sinks in bounded memory instead.
         """
-        exts, storage = self._prepare(params, inputs)
-        mem: list[int] = []
-        bra: list[int] = []
-
-        # Block-tier event arrays join the same materialized buffers the
-        # scalar tier appends to, preserving program order. A cap no run
-        # reaches: the flush guard never fires, so the buffers simply
-        # accumulate the whole trace.
-        counters, scalars = self._execute(
-            params, exts, storage, mem, bra, _NEVER_FLUSH, _noop_flush,
-            lambda chunk: mem.extend(chunk.tolist()),
-            lambda chunk: bra.extend(chunk.tolist()),
+        if not self.trace:
+            return self.run_streaming(params, inputs)
+        memory, branches = _Collector(), _Collector()
+        result = self.run_streaming(
+            params, inputs, memory_sink=memory, branch_sink=branches,
+            chunk_events=_NEVER_FLUSH,
         )
-        trace = None
-        if self.trace:
-            trace = TraceBuffers(
-                np.asarray(mem, dtype=np.int64),
-                np.asarray(bra, dtype=np.int64),
-            )
-        return self._result(exts, storage, counters, scalars, trace)
+        result.trace = TraceBuffers(memory.events, branches.events)
+        return result
 
     def run_streaming(
         self,
@@ -1022,7 +1017,9 @@ class CompiledProgram:
         :class:`~repro.exec.events.RunResult` carries arrays, scalars and
         counters but ``trace=None`` — the trace only ever existed as
         chunks. The caller owns the sinks' lifecycle and calls their
-        ``finish()`` afterwards.
+        ``finish()`` afterwards. An untraced program runs here too, but
+        only without sinks (:class:`~repro.errors.ExecutionError`
+        otherwise).
 
         Both streams are coalesced across both tiers: scalar-tier
         buffers (drained at iteration boundaries once ``chunk_events``
@@ -1036,8 +1033,8 @@ class CompiledProgram:
         events), and a queue holds at most ``chunk_events`` events plus
         one block-tier array and one scalar buffer.
         """
-        if not self.trace:
-            raise ExecutionError("run_streaming() needs a traced program (trace=True)")
+        if not self.trace and (memory_sink is not None or branch_sink is not None):
+            raise ExecutionError("trace sinks need a traced program (trace=True)")
         if chunk_events <= 0:
             raise ExecutionError(f"chunk_events must be positive, got {chunk_events}")
         exts, storage = self._prepare(params, inputs)
@@ -1074,7 +1071,7 @@ class CompiledProgram:
         for queue in queues:
             if queue is not None:
                 queue.close()
-        return self._result(exts, storage, counters, scalars, trace=None)
+        return self._result(exts, storage, counters, scalars)
 
 
 def run_compiled(

@@ -16,16 +16,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
-from repro.exec.compiled import CompiledProgram
-from repro.experiments.runner import measure_variant
+from repro.experiments.runner import measure_program, measure_variant
 from repro.experiments.sweep import SweepConfig, default_config
 from repro.kernels import jacobi
-from repro.kernels.registry import get_kernel
 from repro.machine.cache import CacheConfig
 from repro.machine.configs import MachineConfig
-from repro.machine.perfcounters import measure
 from repro.utils.tables import render_table
 
 
@@ -68,7 +63,7 @@ def skew_study(config: SweepConfig | None = None) -> str:
             nest_index=_time_nest_index(fixed),
             name="jacobi_space_tiled",
         )
-        report = _measure_program(space_only, "jacobi", n, config)
+        report = measure_program(space_only, "jacobi", n, config)
         rows.append(
             [
                 n,
@@ -96,7 +91,7 @@ def copy_widen_study(config: SweepConfig | None = None) -> str:
         rw = eliminate_rw(fixed_nest, widen_copies=widen)
         program = rw.nest.to_program(f"jacobi_widen_{widen}")
         for n in config.sizes[:2]:
-            report = _measure_program(program, "jacobi", n, config)
+            report = measure_program(program, "jacobi", n, config)
             rows.append(
                 [
                     "widened" if widen else "exact",
@@ -180,18 +175,6 @@ def _time_nest_index(program) -> int:
         if isinstance(stmt, Loop) and stmt.var == "t":
             return pos
     raise ValueError("no time loop")
-
-
-def _measure_program(program, kernel: str, n: int, config: SweepConfig):
-    mod = get_kernel(kernel)
-    params = {"N": n}
-    if "M" in mod.PARAMS:
-        params["M"] = config.jacobi_m
-    rng = np.random.default_rng(config.seed)
-    inputs = mod.make_inputs(params, rng)
-    cp = CompiledProgram(program, trace=True)
-    run = cp.run(params, inputs)
-    return measure(run, program, params, config.machine)
 
 
 def main(config: SweepConfig | None = None) -> str:

@@ -5,7 +5,8 @@ variant through the **recipe registry** (:mod:`repro.kernels.recipes`),
 build its program with the :class:`~repro.pipeline.manager.PassManager`
 (keeping the per-pass timing report), compile with tracing, run on
 deterministic inputs, replay the traces through the simulated Octane2, and
-return the :class:`~repro.machine.perfcounters.PerfReport`.
+return the :class:`~repro.machine.perfcounters.PerfReport`. Its measuring
+step, :func:`measure_program`, also serves ad-hoc programs (the ablations).
 
 Measurements are memoised in-process (capped LRU; :func:`clear_caches`
 resets) and, optionally, on disk (``REPRO_CACHE_DIR``; set
@@ -32,7 +33,6 @@ import json
 import logging
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from repro.machine.perfcounters import PerfReport, measure, measure_streaming
 from repro.pipeline.manager import PassManager, PipelineReport
 from repro.pipeline.passes import PassContext
 from repro.pipeline.recipe import VariantRecipe, measurement_fingerprint
-from repro.utils.caching import LRUCache
+from repro.utils.caching import LRUCache, disk_cache_dir
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,8 @@ def clear_caches() -> None:
     poly_memo.clear_memos()
 
 
-def _cache_dir() -> Path | None:
-    if os.environ.get("REPRO_NO_CACHE", "") == "1":
-        return None
-    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
-
-
 def _load_cached(key: str) -> PerfReport | None:
-    d = _cache_dir()
+    d = disk_cache_dir()
     if d is None:
         return None
     path = d / f"{key}.json"
@@ -121,7 +115,7 @@ def _load_cached(key: str) -> PerfReport | None:
 
 
 def _store_cached(key: str, report: PerfReport) -> None:
-    d = _cache_dir()
+    d = disk_cache_dir()
     if d is None:
         return
     d.mkdir(parents=True, exist_ok=True)
@@ -217,15 +211,16 @@ def measure_variant(
 
     ``trace_mode`` selects how the trace reaches the machine model:
     ``"stream"`` (default) drives the fused sink pipeline in bounded
-    memory; ``"materialize"`` builds the full trace first (debugging
-    path). Results are bit-identical, so the cache key is unaffected;
+    memory; ``"materialize"`` builds the full trace first and feeds the
+    same sinks one chunk per stream (debugging path). Results are
+    bit-identical, so the cache key is unaffected;
     the ``REPRO_TRACE_MODE`` env var overrides the default. The same
     holds for the executor tier (``REPRO_EXEC_MODE``): block and scalar
     produce bit-identical reports by contract.
     """
+    trace_mode = _trace_mode(trace_mode)  # a bad value fails on memo hits too
     tile = _tile_for(variant, n, config, tile)
     program, pipeline, recipe = build_program(kernel, variant, tile=tile)
-    params = _params_for(kernel, n, config)
     key = _point_key(kernel, variant, n, config, tile, program, recipe)
     if key in _memo:
         telemetry.counter("sweep.memo.hit")
@@ -246,30 +241,53 @@ def measure_variant(
             return result
         telemetry.counter("sweep.cache.miss")
 
-        mod = get_kernel(kernel)
-        rng = np.random.default_rng(config.seed)
-        inputs = mod.make_inputs(params, rng)
-
-        def compile_program():
-            return CompiledProgram(program, trace=True)
-
-        # The engine memo must key on the effective tier configuration:
-        # flipping REPRO_EXEC_MODE / REPRO_BLOCK_MIN_TRIP mid-process must
-        # not resurrect an engine compiled for the other tier.
-        cp = _compiled.get_or_compute(
-            (kernel, variant, tile, resolve_exec_mode(), resolve_min_block_trip()),
-            compile_program,
+        report = measure_program(
+            program, kernel, n, config, engine_key=(kernel, variant, tile),
+            trace_mode=trace_mode,
         )
-        if _trace_mode(trace_mode) == "stream":
-            _, report = measure_streaming(cp, params, config.machine, inputs)
-        else:
-            run = cp.run(params, inputs)
-            report = measure(run, cp.program, params, config.machine)
         _store_cached(key, report)
         sp.set(source="computed")
         result = VariantMeasurement(kernel, variant, n, tile, report, pipeline)
         _memo[key] = result
         return result
+
+
+def measure_program(
+    program: Program,
+    kernel: str,
+    n: int,
+    config: SweepConfig,
+    *,
+    engine_key: tuple | None = None,
+    trace_mode: str | None = None,
+) -> PerfReport:
+    """Run *program* on *kernel*'s deterministic inputs at size *n* and
+    measure it on ``config.machine`` (no memo, no disk cache).
+
+    ``engine_key`` memoises the compiled engine (a registry variant's
+    ``(kernel, variant, tile)``); ``None`` compiles afresh, for ad-hoc
+    programs such as the ablations'. ``trace_mode`` is as for
+    :func:`measure_variant`.
+    """
+    params = _params_for(kernel, n, config)
+    inputs = get_kernel(kernel).make_inputs(params, np.random.default_rng(config.seed))
+
+    def compile_program():
+        return CompiledProgram(program, trace=True)
+
+    if engine_key is None:
+        cp = compile_program()
+    else:
+        # The engine memo must key on the effective tier configuration:
+        # flipping REPRO_EXEC_MODE / REPRO_BLOCK_MIN_TRIP mid-process must
+        # not resurrect an engine compiled for the other tier.
+        cp = _compiled.get_or_compute(
+            (*engine_key, resolve_exec_mode(), resolve_min_block_trip()),
+            compile_program,
+        )
+    if _trace_mode(trace_mode) == "stream":
+        return measure_streaming(cp, params, config.machine, inputs)[1]
+    return measure(cp.run(params, inputs), cp.program, params, config.machine)
 
 
 def _measure_point_worker(

@@ -11,7 +11,7 @@ exactly those observables from the executor's traces:
 - :mod:`repro.machine.window` — the vectorized LRU engine shared by the
   caches, the write-back model, the register file and the TLB;
 - :mod:`repro.machine.hierarchy` — two-level (L1 + unified L2) filtering;
-- :mod:`repro.machine.branch` — branch predictors (2-bit saturating
+- :mod:`repro.machine.branch` — branch predictor sinks (2-bit saturating
   counters by default);
 - :mod:`repro.machine.configs` — the Octane2 geometry and a scaled-down
   variant for tractable sweeps;
@@ -22,7 +22,7 @@ exactly those observables from the executor's traces:
   that fuses all trace consumers into one bounded-memory pass.
 """
 
-from repro.machine.branch import StaticTakenPredictor, TwoBitPredictor
+from repro.machine.branch import StaticTakenPredictorSink, TwoBitPredictorSink
 from repro.machine.cache import CacheConfig, CacheSink, simulate_cache
 from repro.machine.configs import MachineConfig, octane2, octane2_scaled
 from repro.machine.costmodel import CostModel
@@ -34,13 +34,7 @@ from repro.machine.perfcounters import (
     measure,
     measure_streaming,
 )
-from repro.machine.sinks import (
-    DEFAULT_CHUNK_EVENTS,
-    CountSink,
-    FanoutSink,
-    MaterializeSink,
-    TraceSink,
-)
+from repro.machine.sinks import DEFAULT_CHUNK_EVENTS, TraceSink
 
 __all__ = [
     "CacheConfig",
@@ -58,11 +52,8 @@ __all__ = [
     "PerfReport",
     "measure",
     "measure_streaming",
-    "TwoBitPredictor",
-    "StaticTakenPredictor",
+    "TwoBitPredictorSink",
+    "StaticTakenPredictorSink",
     "TraceSink",
-    "MaterializeSink",
-    "FanoutSink",
-    "CountSink",
     "DEFAULT_CHUNK_EVENTS",
 ]

@@ -6,13 +6,14 @@ saturating counter table; we model exactly that (without aliasing, since our
 site ids are exact). A static always-taken predictor is provided for
 ablation studies.
 
-Streaming: :func:`sink_for_predictor` wraps a predictor into a
-:class:`~repro.machine.sinks.TraceSink` consuming encoded branch-event
-chunks (``site*2 + taken``). Sites are independent and the sinks preserve
-per-site order, so interleaved streaming replay is equivalent to the
-grouped-by-site replay of ``simulate`` — the equivalence tests assert it.
-Unknown predictor types fall back to materializing the (small) branch
-trace and calling their ``simulate`` once at the end.
+Each predictor is one :class:`~repro.machine.sinks.TraceSink` over encoded
+branch-event chunks (``site*2 + taken``, see :mod:`repro.exec.events`),
+checked with :func:`~repro.machine.sinks.check_codes`; the ``predictor=``
+argument of both measure functions takes such a sink. Sites are
+independent and the sinks preserve per-site order, so interleaved
+streaming replay equals a grouped-by-site replay of the whole trace —
+the property tests assert it against
+:func:`repro.machine.oracles.two_bit_predictor_reference`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exec.events import decode_branch_events
+from repro.machine.sinks import check_codes
 
 
 @dataclass(frozen=True)
@@ -37,54 +39,15 @@ class BranchStats:
         return self.mispredicted / self.resolved if self.resolved else 0.0
 
 
-class TwoBitPredictor:
-    """Per-site 2-bit saturating counter (init: weakly taken).
+class TwoBitPredictorSink:
+    """Per-site 2-bit saturating counters over encoded branch chunks.
 
-    States 0..3; predict taken when state >= 2; increment on taken,
-    decrement on not-taken, saturating.
+    States 0..3, initially weakly taken; predict taken when state >= 2;
+    increment on taken, decrement on not-taken, saturating.
     """
 
     #: Initial counter state (weakly taken).
     INITIAL_STATE = 2
-
-    def simulate(self, site_ids: np.ndarray, taken: np.ndarray) -> BranchStats:
-        """Replay (site, outcome) events in order; sites are independent, so
-        events are processed grouped by site (stable order within a site)."""
-        n = len(site_ids)
-        if n == 0:
-            return BranchStats(0, 0)
-        order = np.argsort(site_ids, kind="stable")
-        sid_sorted = site_ids[order]
-        taken_sorted = taken[order].tolist()
-        boundaries = np.flatnonzero(np.diff(sid_sorted)) + 1
-        starts = [0, *boundaries.tolist()]
-        ends = [*boundaries.tolist(), n]
-        mispredicted = 0
-        for start, end in zip(starts, ends):
-            state = self.INITIAL_STATE
-            for pos in range(start, end):
-                outcome = taken_sorted[pos]
-                if (state >= 2) != bool(outcome):
-                    mispredicted += 1
-                if outcome:
-                    if state < 3:
-                        state += 1
-                elif state > 0:
-                    state -= 1
-        return BranchStats(resolved=n, mispredicted=mispredicted)
-
-
-class StaticTakenPredictor:
-    """Predicts every branch taken (ablation baseline)."""
-
-    def simulate(self, site_ids: np.ndarray, taken: np.ndarray) -> BranchStats:
-        """Mispredict exactly the not-taken outcomes."""
-        n = len(site_ids)
-        return BranchStats(resolved=n, mispredicted=int((np.asarray(taken) == 0).sum()))
-
-
-class TwoBitPredictorSink:
-    """Streaming per-site 2-bit counters over encoded branch chunks."""
 
     def __init__(self) -> None:
         self._states: dict[int, int] = {}
@@ -93,10 +56,11 @@ class TwoBitPredictorSink:
 
     def feed(self, codes: np.ndarray) -> None:
         """Update every site's counter with one chunk of events."""
+        codes = check_codes(codes)
         states = self._states
-        init = TwoBitPredictor.INITIAL_STATE
+        init = self.INITIAL_STATE
         mispredicted = 0
-        for code in np.asarray(codes, dtype=np.int64).tolist():
+        for code in codes.tolist():
             site = code >> 1
             outcome = code & 1
             state = states.get(site, init)
@@ -117,7 +81,7 @@ class TwoBitPredictorSink:
 
 
 class StaticTakenPredictorSink:
-    """Streaming always-taken predictor (vectorized per chunk)."""
+    """Always-taken predictor (vectorized per chunk; ablation baseline)."""
 
     def __init__(self) -> None:
         self._resolved = 0
@@ -125,46 +89,10 @@ class StaticTakenPredictorSink:
 
     def feed(self, codes: np.ndarray) -> None:
         """Mispredict the not-taken events of one chunk."""
-        _, taken = decode_branch_events(codes)
+        _, taken = decode_branch_events(check_codes(codes))
         self._resolved += len(taken)
         self._mispredicted += int((taken == 0).sum())
 
     def finish(self) -> BranchStats:
         """Accumulated prediction statistics."""
         return BranchStats(self._resolved, self._mispredicted)
-
-
-class MaterializingPredictorSink:
-    """Fallback for custom predictors: collect, then ``simulate`` once.
-
-    The branch trace is orders of magnitude smaller than the memory trace
-    (one event per conditional), so materializing it does not threaten the
-    streaming pipeline's memory bound.
-    """
-
-    def __init__(self, predictor) -> None:
-        self._predictor = predictor
-        self._chunks: list[np.ndarray] = []
-
-    def feed(self, codes: np.ndarray) -> None:
-        """Retain a copy of the chunk."""
-        self._chunks.append(np.asarray(codes, dtype=np.int64).copy())
-
-    def finish(self) -> BranchStats:
-        """Replay the collected trace through the wrapped predictor."""
-        codes = (
-            np.concatenate(self._chunks)
-            if self._chunks
-            else np.empty(0, dtype=np.int64)
-        )
-        sid, taken = decode_branch_events(codes)
-        return self._predictor.simulate(sid, taken)
-
-
-def sink_for_predictor(predictor):
-    """Streaming sink equivalent to ``predictor.simulate`` on the full trace."""
-    if type(predictor) is TwoBitPredictor:
-        return TwoBitPredictorSink()
-    if type(predictor) is StaticTakenPredictor:
-        return StaticTakenPredictorSink()
-    return MaterializingPredictorSink(predictor)

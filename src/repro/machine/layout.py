@@ -89,7 +89,3 @@ def layout_for_program(program, params, *, align: int = 128) -> MemoryLayout:
         sizes[decl.name] = int(np.prod(shape))
     return MemoryLayout.build(sizes, align=align)
 
-
-def layout_for_run(run_result, program, params, *, align: int = 128) -> MemoryLayout:
-    """Build the layout for a finished run (extents evaluated at *params*)."""
-    return layout_for_program(program, params, align=align)

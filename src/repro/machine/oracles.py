@@ -12,7 +12,9 @@ alternative path to a reported number.
 - :func:`filter_loads_reference` —
   :class:`~repro.machine.registers.RegisterFilterSink`;
 - :func:`simulate_writeback_reference` —
-  :class:`~repro.machine.writeback.WritebackSink`.
+  :class:`~repro.machine.writeback.WritebackSink`;
+- :func:`two_bit_predictor_reference` —
+  :class:`~repro.machine.branch.TwoBitPredictorSink`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.errors import MachineError
+from repro.machine.branch import BranchStats
 from repro.machine.cache import CacheConfig
 from repro.machine.registers import ELEMENT_SHIFT, RegisterFilterResult
 from repro.machine.writeback import WritebackResult
@@ -151,3 +154,32 @@ def simulate_writeback_reference(
         dirty_at_end=dirty,
         misses=mask,
     )
+
+
+def two_bit_predictor_reference(site_ids: np.ndarray, taken: np.ndarray) -> BranchStats:
+    """Per-site 2-bit counters replayed grouped by site (oracle for
+    :class:`TwoBitPredictorSink`, which interleaves the sites in trace
+    order). Sites are independent, so events are processed grouped by
+    site (stable order within a site)."""
+    n = len(site_ids)
+    if n == 0:
+        return BranchStats(0, 0)
+    order = np.argsort(site_ids, kind="stable")
+    sid_sorted = site_ids[order]
+    taken_sorted = taken[order].tolist()
+    boundaries = np.flatnonzero(np.diff(sid_sorted)) + 1
+    starts = [0, *boundaries.tolist()]
+    ends = [*boundaries.tolist(), n]
+    mispredicted = 0
+    for start, end in zip(starts, ends):
+        state = 2  # weakly taken
+        for pos in range(start, end):
+            outcome = taken_sorted[pos]
+            if (state >= 2) != bool(outcome):
+                mispredicted += 1
+            if outcome:
+                if state < 3:
+                    state += 1
+            elif state > 0:
+                state -= 1
+    return BranchStats(resolved=n, mispredicted=mispredicted)

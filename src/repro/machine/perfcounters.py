@@ -1,19 +1,22 @@
 """End-to-end perfex-style measurement of one traced run.
 
-Two equivalent entry points:
+Every report comes out of one chain of :class:`~repro.machine.sinks.TraceSink`
+consumers: :class:`MemoryPipelineSink` (decode → address mapping →
+register window → L1 → L2) plus a branch predictor sink, aggregated into
+cycles with the cost model by :func:`_assemble_report` — every observable
+the paper's Figures 5–8 plot. Two entry points feed that chain:
 
+- :func:`measure_streaming` executes the compiled program itself and
+  streams its events through the sinks in bounded chunks — the trace
+  never exists as one object (the production path);
 - :func:`measure` takes a fully-materialized traced
-  :class:`~repro.exec.events.RunResult` (the debugging path);
-- :func:`measure_streaming` executes the compiled program itself, driving
-  the whole machine model in a single fused pass over bounded trace
-  chunks — the trace never exists as one object.
+  :class:`~repro.exec.events.RunResult` and feeds the same sinks its
+  whole trace as one memory chunk and one branch chunk (the debugging
+  path).
 
-Both lay the arrays out in memory, replay the memory trace through the
-register filter and cache hierarchy and the branch trace through the
-predictor, and aggregate cycles with the cost model — yielding every
-observable the paper's Figures 5–8 plot. The two paths are bit-identical
-(asserted by the equivalence test-suite): the streaming sinks are
-chunking-invariant and the pipeline preserves program order.
+Both build their sinks with :func:`_pipeline_sinks`, so the two reports
+are bit-identical given the sinks' chunking invariance (asserted per
+recipe by the equivalence test-suite).
 
 Neither path cares which codegen tier produced the events: the block
 tier's whole-trip event matrices arrive through the same chunk protocol
@@ -33,11 +36,11 @@ from repro import telemetry
 from repro.errors import MachineError
 from repro.exec.events import Counters, RunResult, decode_memory_events
 from repro.ir.program import Program
-from repro.machine.branch import BranchStats, TwoBitPredictor, sink_for_predictor
+from repro.machine.branch import BranchStats, TwoBitPredictorSink
 from repro.machine.configs import MachineConfig
-from repro.machine.hierarchy import HierarchyResult, HierarchySink, simulate_hierarchy
-from repro.machine.layout import MemoryLayout, layout_for_program, layout_for_run
-from repro.machine.registers import RegisterFilterSink, filter_loads
+from repro.machine.hierarchy import HierarchyResult, HierarchySink
+from repro.machine.layout import MemoryLayout, layout_for_program
+from repro.machine.registers import RegisterFilterSink
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,7 @@ class MemoryPipelineSink:
     """Fused memory-side pipeline over encoded memory-event chunks.
 
     Each chunk flows decode → address mapping → register filter →
-    L1 → L2 in one pass, exactly mirroring the materialized path's
-    whole-trace stages.
+    L1 → L2 in one pass.
     """
 
     def __init__(
@@ -119,7 +121,7 @@ def _assemble_report(
     hier: HierarchyResult,
     branch: BranchStats,
 ) -> PerfReport:
-    """Shared cost aggregation of the materialized and streaming paths."""
+    """Cost aggregation of one run's counters and sink results."""
     costs = machine.costs
     # Register-elided loads never graduate as instructions.
     effective = Counters(**counters.as_dict())
@@ -144,6 +146,32 @@ def _assemble_report(
     )
 
 
+def _pipeline_sinks(
+    program: Program,
+    array_ids: Mapping[str, int],
+    params: Mapping[str, int],
+    machine: MachineConfig,
+    predictor,
+):
+    """The (memory, branch) sinks of one measurement.
+
+    *predictor* is a branch sink (default :class:`TwoBitPredictorSink`).
+    With telemetry on, both are wrapped in per-sink replay spans and
+    chunk/event counters; the wrappers preserve feed/finish semantics
+    bit-exactly, so reports are identical with telemetry on or off.
+    """
+    layout = layout_for_program(program, params)
+    id_to_name = {v: k for k, v in array_ids.items()}
+    memory_sink = MemoryPipelineSink(machine, layout, id_to_name)
+    branch_sink = TwoBitPredictorSink() if predictor is None else predictor
+    if telemetry.enabled():
+        from repro.telemetry.instrument import InstrumentedSink
+
+        memory_sink = InstrumentedSink(memory_sink, "memory")
+        branch_sink = InstrumentedSink(branch_sink, "branch")
+    return memory_sink, branch_sink
+
+
 def measure(
     result: RunResult,
     program: Program,
@@ -152,25 +180,26 @@ def measure(
     *,
     predictor=None,
 ) -> PerfReport:
-    """Replay a materialized traced run on *machine* (debugging path)."""
+    """Replay a materialized traced run on *machine* (debugging path).
+
+    The sinks of :func:`measure_streaming` receive the whole trace as one
+    chunk per stream; *predictor* is a fresh branch sink.
+    """
     if result.trace is None:
         raise MachineError("measure() needs a traced run (trace=True)")
     with telemetry.span(
         "machine.measure", program=program.name, machine=machine.name
     ):
-        layout = layout_for_run(result, program, params)
-        aid, lin, rw = result.trace.memory_events()
-        id_to_name = {v: k for k, v in result.array_ids.items()}
-        addresses = layout.addresses(aid, lin, id_to_name)
-        regs = filter_loads(addresses, rw, machine.registers)
-        memory_stream = addresses[regs.to_memory]
-        hier = simulate_hierarchy(machine.l1, machine.l2, memory_stream)
-
-        sid, taken = result.trace.branch_events()
-        predictor = predictor or TwoBitPredictor()
-        branch = predictor.simulate(sid, taken)
+        memory_sink, branch_sink = _pipeline_sinks(
+            program, result.array_ids, params, machine, predictor
+        )
+        trace = result.trace
+        for sink, codes in ((memory_sink, trace.memory), (branch_sink, trace.branches)):
+            if len(codes):  # as in run_streaming, never an empty chunk
+                sink.feed(codes)
+        load_hits, hier = memory_sink.finish()
         return _assemble_report(
-            program, machine, result.counters, regs.load_hits, hier, branch
+            program, machine, result.counters, load_hits, hier, branch_sink.finish()
         )
 
 
@@ -189,30 +218,22 @@ def measure_streaming(
     the returned :class:`~repro.exec.events.RunResult` has ``trace=None``
     (arrays, scalars and counters are intact). Peak trace memory is
     bounded by the chunk size regardless of the run's event count.
+    *predictor* is a fresh branch sink (default
+    :class:`~repro.machine.branch.TwoBitPredictorSink`).
     """
     program = compiled.program
     with telemetry.span(
         "machine.measure_streaming", program=program.name, machine=machine.name
     ):
-        layout = layout_for_program(program, params)
-        id_to_name = {v: k for k, v in compiled.array_ids.items()}
-        memory_sink = MemoryPipelineSink(machine, layout, id_to_name)
-        branch_sink = sink_for_predictor(predictor or TwoBitPredictor())
-        if telemetry.enabled():
-            # Per-sink replay spans + chunk/event counters; the wrappers
-            # preserve feed/finish semantics bit-exactly, so reports are
-            # identical with telemetry on or off.
-            from repro.telemetry.instrument import InstrumentedSink
-
-            memory_sink = InstrumentedSink(memory_sink, "memory")
-            branch_sink = InstrumentedSink(branch_sink, "branch")
+        memory_sink, branch_sink = _pipeline_sinks(
+            program, compiled.array_ids, params, machine, predictor
+        )
         kwargs = {} if chunk_events is None else {"chunk_events": chunk_events}
         result = compiled.run_streaming(
             params, inputs, memory_sink=memory_sink, branch_sink=branch_sink, **kwargs
         )
         load_hits, hier = memory_sink.finish()
-        branch = branch_sink.finish()
         report = _assemble_report(
-            program, machine, result.counters, load_hits, hier, branch
+            program, machine, result.counters, load_hits, hier, branch_sink.finish()
         )
         return result, report

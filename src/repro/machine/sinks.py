@@ -6,7 +6,10 @@ the trace was walked once per component. The streaming architecture fuses
 the consumers instead: the executor flushes encoded events in bounded
 NumPy chunks, and every component is a **sink** that folds each chunk into
 persistent state. One pass, bounded memory — the trace itself never
-exists as a whole object.
+exists as a whole object. The sinks are also the only machine model: the
+materialized path (:func:`~repro.machine.perfcounters.measure` on a
+``RunResult`` with a trace) feeds the same sinks the whole trace as one
+chunk per stream.
 
 The protocol is deliberately tiny::
 
@@ -30,9 +33,9 @@ Chunk types are stream-specific (duck-typed, per sink class):
   :class:`~repro.machine.writeback.WritebackSink`.
 
 Every address-consuming sink validates its chunk with
-:func:`check_addresses` (or :func:`check_accesses`), so a 2-D or negative
-address chunk is a typed :class:`~repro.errors.MachineError` whichever
-model receives it.
+:func:`check_addresses` (or :func:`check_accesses`), and every branch
+predictor sink with :func:`check_codes`, so a 2-D or negative chunk is a
+typed :class:`~repro.errors.MachineError` whichever model receives it.
 
 Sinks must be chunking-invariant: feeding one big chunk or many small ones
 in the same order yields bit-identical results (the equivalence tests
@@ -51,12 +54,20 @@ from repro.exec.events import DEFAULT_CHUNK_EVENTS
 __all__ = [
     "DEFAULT_CHUNK_EVENTS",
     "TraceSink",
-    "MaterializeSink",
-    "FanoutSink",
-    "CountSink",
     "check_addresses",
     "check_accesses",
+    "check_codes",
 ]
+
+
+def _nonnegative_1d(values: Any, what: str) -> np.ndarray:
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise MachineError(f"{what} must be a 1-D array")
+    values = values.astype(np.int64, copy=False)
+    if len(values) and values.min() < 0:
+        raise MachineError(f"{what} must be non-negative")
+    return values
 
 
 def check_addresses(addresses: Any) -> np.ndarray:
@@ -65,13 +76,17 @@ def check_addresses(addresses: Any) -> np.ndarray:
     Raises :class:`~repro.errors.MachineError` if it is not 1-D or holds a
     negative address.
     """
-    addresses = np.asarray(addresses)
-    if addresses.ndim != 1:
-        raise MachineError("addresses must be a 1-D array")
-    addresses = addresses.astype(np.int64, copy=False)
-    if len(addresses) and addresses.min() < 0:
-        raise MachineError("addresses must be non-negative")
-    return addresses
+    return _nonnegative_1d(addresses, "addresses")
+
+
+def check_codes(codes: Any) -> np.ndarray:
+    """*codes* as a 1-D ``int64`` array of encoded trace events.
+
+    Raises :class:`~repro.errors.MachineError` if it is not 1-D or holds a
+    negative code (every encoding in :mod:`repro.exec.events` is
+    non-negative).
+    """
+    return _nonnegative_1d(codes, "event codes")
 
 
 def check_accesses(chunk: tuple[Any, Any]) -> tuple[np.ndarray, np.ndarray]:
@@ -102,57 +117,3 @@ class TraceSink(Protocol):
     def finish(self) -> Any:
         """Return the accumulated result of the whole stream."""
         ...
-
-
-class MaterializeSink:
-    """Collects encoded event chunks back into one array.
-
-    The debugging escape hatch of the streaming architecture
-    (``trace_mode="materialize"``): everything downstream sees the exact
-    full-trace array the pre-streaming executor produced.
-    """
-
-    def __init__(self, dtype=np.int64):
-        self._dtype = dtype
-        self._chunks: list[np.ndarray] = []
-
-    def feed(self, chunk: np.ndarray) -> None:
-        """Keep a copy of the chunk (the producer may reuse its buffer)."""
-        self._chunks.append(np.asarray(chunk, dtype=self._dtype).copy())
-
-    def finish(self) -> np.ndarray:
-        """Concatenate every chunk in feed order."""
-        if not self._chunks:
-            return np.empty(0, dtype=self._dtype)
-        return np.concatenate(self._chunks)
-
-
-class FanoutSink:
-    """Broadcasts each chunk to several sinks consuming the same stream."""
-
-    def __init__(self, *sinks: TraceSink):
-        self._sinks = sinks
-
-    def feed(self, chunk: Any) -> None:
-        """Feed every registered sink in order."""
-        for sink in self._sinks:
-            sink.feed(chunk)
-
-    def finish(self) -> tuple[Any, ...]:
-        """Finish every sink; results in registration order."""
-        return tuple(sink.finish() for sink in self._sinks)
-
-
-class CountSink:
-    """Counts events without retaining them (cheap smoke-testing sink)."""
-
-    def __init__(self) -> None:
-        self.events = 0
-
-    def feed(self, chunk: np.ndarray) -> None:
-        """Add the chunk length."""
-        self.events += len(chunk)
-
-    def finish(self) -> int:
-        """Total event count."""
-        return self.events

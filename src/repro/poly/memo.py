@@ -44,7 +44,7 @@ from typing import Any, Callable
 
 from repro import telemetry
 from repro.errors import CaseSplitError, PolyhedronError, UnboundedError
-from repro.utils.caching import LRUCache
+from repro.utils.caching import LRUCache, disk_cache_dir
 
 #: Bump when FM / feasibility / lexmin semantics change, so persisted
 #: answers from older code are never read again (new filename).
@@ -208,10 +208,8 @@ _disk_cache: dict[str, Any] | None = None
 
 
 def _resolve_disk_path() -> Path | None:
-    if os.environ.get("REPRO_NO_CACHE", "") == "1":
-        return None
-    base = Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
-    return base / f"polymemo-v{DISK_FORMAT_VERSION}.jsonl"
+    base = disk_cache_dir()
+    return None if base is None else base / f"polymemo-v{DISK_FORMAT_VERSION}.jsonl"
 
 
 def _disk_entries() -> dict[str, Any] | None:

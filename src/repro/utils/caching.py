@@ -1,15 +1,28 @@
-"""A small capped LRU mapping for in-process memoisation.
+"""Cache plumbing shared by the runner and the polyhedral memo.
 
 The experiment runner used to memoise builds and measurements in plain
 module-level dicts — unbounded, and with no way to reset them between
 sweeps. :class:`LRUCache` bounds the footprint (oldest-used entries fall
-out first) and supports explicit clearing.
+out first) and supports explicit clearing. :func:`disk_cache_dir` is the
+one reading of the disk-cache settings, so the measurement cache and the
+analysis memo's side file can never disagree on where (or whether) to
+persist.
 """
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
+from pathlib import Path
 from typing import Any, Callable, Hashable, Iterator, MutableMapping
+
+
+def disk_cache_dir() -> Path | None:
+    """The disk-cache directory: ``None`` when ``REPRO_NO_CACHE=1``, else
+    ``REPRO_CACHE_DIR`` (default ``.repro_cache``)."""
+    if os.environ.get("REPRO_NO_CACHE", "") == "1":
+        return None
+    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 
 class LRUCache(MutableMapping):

@@ -156,3 +156,35 @@ class TestTrace:
     def test_untraced_has_no_buffers(self):
         out = run_compiled(prog([assign(idx("A", val(1)), 0.0)]), {"N": 1})
         assert out.trace is None
+
+    def test_empty_traced_run_has_empty_buffers(self):
+        cp = CompiledProgram(prog([assign("s", 1.0)], scalars=("s",)), trace=True)
+        trace = cp.run({"N": 1}).trace
+        assert trace.memory.dtype == trace.branches.dtype == np.int64
+        assert len(trace.memory) == len(trace.branches) == 0
+
+
+class TestUntracedStreaming:
+    """``run()`` is ``run_streaming()`` for every program, traced or not."""
+
+    BODY = loop("i", 1, N, [if_(cne(i, 1), assign(idx("A", i), 2.0))])
+
+    def test_run_and_run_streaming_agree(self):
+        cp = CompiledProgram(prog([self.BODY]))
+        run = cp.run({"N": 5})
+        streamed = cp.run_streaming({"N": 5})
+        assert run.trace is None and streamed.trace is None
+        assert list(run.arrays["A"]) == [0.0, 2.0, 2.0, 2.0, 2.0]
+        assert np.array_equal(streamed.arrays["A"], run.arrays["A"])
+        assert streamed.counters.as_dict() == run.counters.as_dict()
+        assert run.counters.branches == 5
+
+    @pytest.mark.parametrize("stream", ["memory_sink", "branch_sink"])
+    def test_sink_needs_a_traced_program(self, stream):
+        class Sink:
+            def feed(self, chunk):
+                raise AssertionError("an untraced program produced events")
+
+        cp = CompiledProgram(prog([self.BODY]))
+        with pytest.raises(ExecutionError, match="traced program"):
+            cp.run_streaming({"N": 5}, **{stream: Sink()})

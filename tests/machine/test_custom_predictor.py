@@ -1,9 +1,9 @@
-"""measure() with a custom branch predictor (the predictor hook)."""
+"""measure() with a custom branch predictor sink (the predictor hook)."""
 
 from repro.exec.compiled import CompiledProgram
 from repro.ir.builder import assign, cle, idx, if_, loop, sym
 from repro.ir.program import ArrayDecl, Program
-from repro.machine import StaticTakenPredictor, measure, octane2_scaled
+from repro.machine import StaticTakenPredictorSink, measure, octane2_scaled
 
 N, i = sym("N"), sym("i")
 
@@ -22,7 +22,7 @@ def test_predictor_hook_changes_mispredictions():
     params = {"N": 20}
     machine = octane2_scaled()
     default = measure(run, p, params, machine)
-    static = measure(run, p, params, machine, predictor=StaticTakenPredictor())
+    static = measure(run, p, params, machine, predictor=StaticTakenPredictorSink())
     # 18 of 20 outcomes are not-taken: always-taken mispredicts them all,
     # the 2-bit counter learns after a short training phase.
     assert static.branches_mispredicted == 18

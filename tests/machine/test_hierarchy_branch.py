@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.machine.branch import StaticTakenPredictor, TwoBitPredictor
+from repro.machine.branch import StaticTakenPredictorSink, TwoBitPredictorSink
 from repro.machine.cache import CacheConfig
 from repro.machine.hierarchy import simulate_hierarchy
 
@@ -42,11 +42,14 @@ class TestHierarchy:
         assert res.l1_miss_rate == 0.0 and res.l2_miss_rate == 0.0
 
 
+def replay(sink, sids, taken):
+    sink.feed(np.array(sids, dtype=np.int64) * 2 + np.array(taken, dtype=np.int64))
+    return sink.finish()
+
+
 class TestTwoBit:
     def run(self, sids, taken):
-        return TwoBitPredictor().simulate(
-            np.array(sids, dtype=np.int64), np.array(taken, dtype=np.int64)
-        )
+        return replay(TwoBitPredictorSink(), sids, taken)
 
     def test_always_taken_learns(self):
         stats = self.run([0] * 10, [1] * 10)
@@ -81,7 +84,5 @@ class TestTwoBit:
 
 class TestStaticTaken:
     def test_counts_not_taken(self):
-        stats = StaticTakenPredictor().simulate(
-            np.array([0, 0, 1]), np.array([1, 0, 0])
-        )
+        stats = replay(StaticTakenPredictorSink(), [0, 0, 1], [1, 0, 0])
         assert stats.resolved == 3 and stats.mispredicted == 2

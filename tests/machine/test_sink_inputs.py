@@ -1,9 +1,10 @@
-"""Every address-consuming sink rejects malformed chunks with a typed error.
+"""Every address- or code-consuming sink rejects malformed chunks with a
+typed error.
 
-The sinks share one check (:func:`repro.machine.sinks.check_addresses`,
+The sinks share two checks (:func:`repro.machine.sinks.check_addresses`,
 wrapped by :func:`~repro.machine.sinks.check_accesses` for
-``(addresses, is_write)`` chunks): a chunk of addresses must be 1-D and
-non-negative.
+``(addresses, is_write)`` chunks, and :func:`~repro.machine.sinks.check_codes`
+for encoded branch events): a chunk must be 1-D and non-negative.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MachineError
+from repro.machine.branch import StaticTakenPredictorSink, TwoBitPredictorSink
 from repro.machine.cache import CacheConfig, CacheSink
 from repro.machine.prefetch import PrefetchSink
 from repro.machine.registers import RegisterFilterSink
@@ -54,3 +56,12 @@ def test_prefetch_sink(bad):
 def test_register_filter_sink(bad):
     with pytest.raises(MachineError):
         RegisterFilterSink().feed((bad, np.zeros(bad.shape, dtype=bool)))
+
+
+@pytest.mark.parametrize("sink_cls", [TwoBitPredictorSink, StaticTakenPredictorSink])
+def test_branch_sinks(bad, sink_cls):
+    # A 2-D chunk used to be counted element-wise by the static sink (and
+    # a bare TypeError in the 2-bit one); a negative code decoded to a
+    # negative site.
+    with pytest.raises(MachineError):
+        sink_cls().feed(bad)

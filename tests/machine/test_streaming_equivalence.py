@@ -5,7 +5,8 @@ path — same miss counts, same counters, same branch stats, on any chunking.
 These tests pin that down three ways:
 
 - randomized traces through every sink, chunked at random boundaries,
-  against the original whole-trace implementations;
+  against the original whole-trace implementations (the 2-bit
+  predictor against its grouped-by-site oracle, under hypothesis);
 - every registered kernel recipe at small N, end-to-end through
   ``measure`` vs ``measure_streaming``;
 - Mattson-inclusion cross-check: the vectorized ``simulate_cache`` at
@@ -16,15 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.exec.compiled import CompiledProgram
 from repro.experiments.runner import build_program
 from repro.kernels.registry import ALL_KERNELS, get_kernel, variants_for
-from repro.machine.branch import (
-    StaticTakenPredictor,
-    TwoBitPredictor,
-    sink_for_predictor,
-)
+from repro.machine.branch import StaticTakenPredictorSink, TwoBitPredictorSink
 from repro.machine.cache import (
     CacheConfig,
     CacheSink,
@@ -33,10 +31,13 @@ from repro.machine.cache import (
 )
 from repro.machine.configs import octane2_scaled
 from repro.machine.hierarchy import HierarchySink, simulate_hierarchy
-from repro.machine.oracles import simulate_cache_reference, stack_distances_reference
+from repro.machine.oracles import (
+    simulate_cache_reference,
+    stack_distances_reference,
+    two_bit_predictor_reference,
+)
 from repro.machine.perfcounters import measure, measure_streaming
 from repro.machine.registers import RegisterFilterSink, filter_loads
-from repro.machine.sinks import MaterializeSink
 from repro.machine.tlb import TLBConfig, TLBSink, simulate_tlb
 from repro.machine.writeback import WritebackSink, simulate_writeback
 
@@ -192,33 +193,37 @@ class TestSinkChunkingInvariance:
         assert np.array_equal(np.concatenate(masks), whole.to_memory)
         assert sink.finish().load_hits == whole.load_hits
 
-    @pytest.mark.parametrize("predictor_cls", [TwoBitPredictor, StaticTakenPredictor])
-    def test_branch_sinks(self, predictor_cls):
+    def test_static_taken_sink(self):
         sites = self.rng.integers(0, 5, size=400, dtype=np.int64)
         taken = self.rng.integers(0, 2, size=400, dtype=np.int64)
-        codes = sites * 2 + taken
-        whole = predictor_cls().simulate(sites, taken)
-        sink = sink_for_predictor(predictor_cls())
-        for (chunk,) in random_chunks(self.rng, codes):
+        sink = StaticTakenPredictorSink()
+        for (chunk,) in random_chunks(self.rng, sites * 2 + taken):
             sink.feed(chunk)
         stats = sink.finish()
-        assert (stats.resolved, stats.mispredicted) == (
-            whole.resolved,
-            whole.mispredicted,
-        )
+        assert (stats.resolved, stats.mispredicted) == (400, int((taken == 0).sum()))
 
-    def test_custom_predictor_falls_back_to_materializing(self):
-        class Inverted:
-            def simulate(self, sites, taken):
-                from repro.machine.branch import BranchStats
 
-                return BranchStats(len(sites), int((np.asarray(taken) == 1).sum()))
+@st.composite
+def branch_trace(draw):
+    """Site ids, taken bits and sorted chunk cuts of one branch trace."""
+    sites = draw(st.integers(1, 40))
+    n = draw(st.integers(0, 300))
+    sid = draw(st.lists(st.integers(0, sites - 1), min_size=n, max_size=n))
+    taken = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+    return np.asarray(sid, dtype=np.int64), np.asarray(taken, dtype=np.int64), cuts
 
-        codes = np.array([0, 1, 2, 3, 1], dtype=np.int64)
-        sink = sink_for_predictor(Inverted())
-        sink.feed(codes[:2])
-        sink.feed(codes[2:])
-        assert sink.finish().mispredicted == 3
+
+@given(branch_trace())
+def test_two_bit_sink_matches_oracle(trace):
+    # The sink interleaves sites in trace order, the oracle replays them
+    # grouped by site; any chunking of the stream gives the same stats.
+    sid, taken, cuts = trace
+    codes = sid * 2 + taken
+    sink = TwoBitPredictorSink()
+    for lo, hi in zip([0, *cuts], [*cuts, len(codes)]):
+        sink.feed(codes[lo:hi])
+    assert sink.finish() == two_bit_predictor_reference(sid, taken)
 
 
 def _measure_both(kernel, variant, n=8):
@@ -255,6 +260,20 @@ def test_every_recipe_streams_bit_identical(kernel, variant):
     assert materialized.as_dict() == streamed.as_dict()
 
 
+class _ChunkRecorder:
+    """Keeps a copy of every chunk it is fed."""
+
+    def __init__(self) -> None:
+        self.chunks: list[np.ndarray] = []
+
+    def feed(self, chunk: np.ndarray) -> None:
+        self.chunks.append(np.array(chunk, copy=True))
+
+    def stream(self) -> np.ndarray:
+        """Every event fed, in feed order."""
+        return np.concatenate(self.chunks) if self.chunks else np.empty(0, np.int64)
+
+
 def test_streaming_executor_reproduces_trace():
     # The chunked executor must emit the exact same encoded event stream
     # as the materializing run.
@@ -264,26 +283,16 @@ def test_streaming_executor_reproduces_trace():
     inputs = mod.make_inputs(params, np.random.default_rng(5))
     cp = CompiledProgram(program, trace=True)
     run = cp.run(params, inputs)
-    mem_sink, bra_sink = MaterializeSink(), MaterializeSink()
+    mem_sink, bra_sink = _ChunkRecorder(), _ChunkRecorder()
     streamed = cp.run_streaming(
         params, inputs, memory_sink=mem_sink, branch_sink=bra_sink, chunk_events=64
     )
     assert streamed.trace is None
-    assert np.array_equal(mem_sink.finish(), run.trace.memory)
-    assert np.array_equal(bra_sink.finish(), run.trace.branches)
+    assert np.array_equal(mem_sink.stream(), run.trace.memory)
+    assert np.array_equal(bra_sink.stream(), run.trace.branches)
     assert streamed.counters.as_dict() == run.counters.as_dict()
     for name in run.arrays:
         assert np.array_equal(streamed.arrays[name], run.arrays[name])
-
-
-class _ChunkRecorder:
-    """Keeps a copy of every chunk it is fed."""
-
-    def __init__(self) -> None:
-        self.chunks: list[np.ndarray] = []
-
-    def feed(self, chunk: np.ndarray) -> None:
-        self.chunks.append(np.array(chunk, copy=True))
 
 
 @pytest.mark.parametrize(
@@ -321,11 +330,8 @@ def test_streaming_chunks_are_full_size(kernel, variant, n, tile, chunk_events):
     assert len(memory.chunks) == -(-events // chunk_events)
     assert all(len(c) == chunk_events for c in memory.chunks[:-1])
     assert 0 < len(memory.chunks[-1]) <= chunk_events
-    assert np.array_equal(np.concatenate(memory.chunks), trace.memory)
-    streamed_branches = (
-        np.concatenate(branches.chunks) if branches.chunks else np.empty(0, np.int64)
-    )
-    assert np.array_equal(streamed_branches, trace.branches)
+    assert np.array_equal(memory.stream(), trace.memory)
+    assert np.array_equal(branches.stream(), trace.branches)
 
 
 def test_streaming_chunks_every_size():
