@@ -6,9 +6,10 @@ attaches the regenerated rows/series to the benchmark record via
 ``extra_info``, so ``--benchmark-json`` output contains the reproduced
 numbers alongside the timings.
 
-Measurements are disk-cached across processes (``.repro_cache``) because a
-full sweep point costs seconds; delete the directory (or set
-``REPRO_NO_CACHE=1``) to force clean re-measurement.
+Measurements are disk-cached across processes (the source-salted store
+in ``.repro_cache``) because a full sweep point costs seconds; any edit to
+the ``repro`` source starts a fresh store, and ``REPRO_NO_CACHE=1`` forces
+clean re-measurement.
 """
 
 from __future__ import annotations

@@ -9,28 +9,27 @@ return the :class:`~repro.machine.perfcounters.PerfReport`. Its measuring
 step, :func:`measure_program`, also serves ad-hoc programs (the ablations).
 
 Measurements are memoised in-process (capped LRU; :func:`clear_caches`
-resets) and, optionally, on disk (``REPRO_CACHE_DIR``; set
-``REPRO_NO_CACHE=1`` to disable). Disk-cache keys embed a **content
-fingerprint** of the recipe, the emitted program, and the machine config
-(:func:`repro.pipeline.recipe.measurement_fingerprint`) — any change to a
-pass parameter, the emitted code, or the cost model changes the filename,
-so stale entries are simply never read again. No hand-bumped version tag
-to forget.
+resets) and, optionally, in the shared disk store
+(:data:`repro.utils.caching.disk_store` under ``REPRO_CACHE_DIR``; set
+``REPRO_NO_CACHE=1`` to disable). A point's key covers every *input* of
+the measurement: a content fingerprint of the recipe, the emitted
+program, the machine config and the run parameters
+(:func:`repro.pipeline.recipe.measurement_fingerprint`). The *code* that
+measures is covered by the store itself, whose file name is salted with
+a digest of the ``repro`` source: editing the simulator, the executor or
+the cost model starts a fresh store, so a stale report is never read.
 
 Sweep grids fan out across processes with :func:`measure_points`
 (``REPRO_JOBS``, default 1). Every worker starts with *empty* in-process
 memos (:func:`clear_caches` runs as the pool initializer) but shares the
-fingerprint-keyed disk cache, whose writes are atomic
-(temp file + ``os.replace``) so a concurrent reader can never observe a
-truncated report. The figure generators then assemble their output
-through the unchanged serial path, which finds every point already
+disk store, whose single-line appends a concurrent reader either sees
+whole or skips as corrupt. The figure generators then assemble their
+output through the unchanged serial path, which finds every point already
 memoised — parallel runs are byte-identical to serial ones.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import os
 from dataclasses import dataclass
 
@@ -48,8 +47,8 @@ from repro.kernels.registry import get_kernel, get_recipe
 from repro.machine.perfcounters import PerfReport, measure, measure_streaming
 from repro.pipeline.manager import PassManager, PipelineReport
 from repro.pipeline.passes import PassContext
-from repro.pipeline.recipe import VariantRecipe, measurement_fingerprint
-from repro.utils.caching import LRUCache, disk_cache_dir
+from repro.pipeline.recipe import measurement_fingerprint, program_fingerprint
+from repro.utils.caching import MISS, LRUCache, disk_store
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,9 @@ class VariantMeasurement:
     n: int
     tile: int | None
     report: PerfReport
-    #: Per-pass build evidence (None when the measurement came from cache
-    #: without a fresh in-process build this call — never the case today,
-    #: since the fingerprint requires building the program).
-    pipeline: PipelineReport | None = None
+    #: Per-pass build evidence of the program measured.
+    pipeline: PipelineReport
 
-
-_log = logging.getLogger("repro.sweep")
 
 _memo: LRUCache = LRUCache(maxsize=4096)
 _built: LRUCache = LRUCache(maxsize=256)
@@ -76,7 +71,8 @@ _compiled: LRUCache = LRUCache(maxsize=256)
 
 def clear_caches() -> None:
     """Drop every in-process memo (measurements, built programs,
-    compiled engines). Disk cache is untouched.
+    compiled engines) and, through ``poly.memo.clear_memos``, the disk
+    store's loaded view; the store's file is untouched.
 
     Also the :func:`measure_points` pool initializer: forked workers
     inherit the parent's memos, and a sweep worker must re-measure (or
@@ -91,50 +87,13 @@ def clear_caches() -> None:
     poly_memo.clear_memos()
 
 
-def _load_cached(key: str) -> PerfReport | None:
-    d = disk_cache_dir()
-    if d is None:
-        return None
-    path = d / f"{key}.json"
-    if not path.exists():
-        return None
-    try:
-        data = json.loads(path.read_text())
-        return PerfReport(**data)
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
-        # Unreadable or malformed entries mean "not cached": recompute
-        # and overwrite rather than fail the sweep — but never silently.
-        # A corrupt entry is tolerated once here and detectable forever:
-        # counted, logged, and surfaced in the telemetry summary.
-        telemetry.counter("sweep.cache.corrupt")
-        _log.warning(
-            "sweep cache: discarding unreadable entry %s (%s: %s)",
-            path, type(exc).__name__, exc,
-        )
-        return None
-
-
-def _store_cached(key: str, report: PerfReport) -> None:
-    d = disk_cache_dir()
-    if d is None:
-        return
-    d.mkdir(parents=True, exist_ok=True)
-    # Write-then-rename so concurrent sweep workers never expose a
-    # truncated JSON file to a reader; os.replace is atomic within the
-    # cache directory.
-    tmp = d / f".{key}.{os.getpid()}.tmp"
-    try:
-        tmp.write_text(json.dumps(report.as_dict()))
-        os.replace(tmp, d / f"{key}.json")
-    except OSError:
-        tmp.unlink(missing_ok=True)
-
-
 def build_program(
     kernel: str, variant: str, *, tile: int | None = None,
     time_tile: int | None = None,
-) -> tuple[Program, PipelineReport, VariantRecipe]:
-    """Build one variant through its registered recipe (memoised).
+) -> tuple[Program, PipelineReport, str]:
+    """Build one variant through its registered recipe (memoised): the
+    program, its per-pass report and its :func:`program_fingerprint`
+    (serialised once per build, not once per point key).
 
     Raises :class:`~repro.errors.ReproError` for unknown kernels/variants,
     listing the registered choices.
@@ -145,12 +104,10 @@ def build_program(
         ctx = PassContext(
             kernel=get_kernel(kernel), tile=tile, time_tile=time_tile
         )
-        return PassManager().build(recipe, ctx)
+        program, pipeline = PassManager().build(recipe, ctx)
+        return program, pipeline, program_fingerprint(program)
 
-    program, pipeline = _built.get_or_compute(
-        (kernel, variant, tile, time_tile), compute
-    )
-    return program, pipeline, recipe
+    return _built.get_or_compute((kernel, variant, tile, time_tile), compute)
 
 
 def _params_for(kernel: str, n: int, config: SweepConfig) -> dict[str, int]:
@@ -175,27 +132,21 @@ def _tile_for(variant: str, n: int, config: SweepConfig, tile: int | None) -> in
     return tile
 
 
-def _point_key(
-    kernel: str,
-    variant: str,
-    n: int,
-    config: SweepConfig,
-    tile: int | None,
-    program: Program,
-    recipe: VariantRecipe,
-) -> str:
-    """Memo/disk key of one measurement: human-readable prefix plus the
-    content fingerprint (shared by the parent and every sweep worker)."""
-    params = _params_for(kernel, n, config)
-    return (
-        f"{kernel}-{variant}-N{n}-"
-        + measurement_fingerprint(
-            recipe,
-            program,
-            config.machine,
-            {"params": params, "tile": tile, "seed": config.seed},
-        )
+def _resolve_point(
+    kernel: str, variant: str, n: int, config: SweepConfig, tile: int | None = None
+) -> tuple[int | None, Program, PipelineReport, str]:
+    """(tile, program, build report, memo/store key) of one grid point.
+
+    The key is a human-readable prefix plus the content fingerprint, the
+    same in the parent and in every sweep worker.
+    """
+    tile = _tile_for(variant, n, config, tile)
+    program, pipeline, program_fp = build_program(kernel, variant, tile=tile)
+    run = {"params": _params_for(kernel, n, config), "tile": tile, "seed": config.seed}
+    key = f"{kernel}-{variant}-N{n}-" + measurement_fingerprint(
+        get_recipe(kernel, variant), program_fp, config.machine, run
     )
+    return tile, program, pipeline, key
 
 
 def measure_variant(
@@ -219,9 +170,7 @@ def measure_variant(
     produce bit-identical reports by contract.
     """
     trace_mode = _trace_mode(trace_mode)  # a bad value fails on memo hits too
-    tile = _tile_for(variant, n, config, tile)
-    program, pipeline, recipe = build_program(kernel, variant, tile=tile)
-    key = _point_key(kernel, variant, n, config, tile, program, recipe)
+    tile, program, pipeline, key = _resolve_point(kernel, variant, n, config, tile)
     if key in _memo:
         telemetry.counter("sweep.memo.hit")
         return _memo[key]
@@ -230,26 +179,27 @@ def measure_variant(
     # here, so a sweep's `sweep.point` span count equals the number of
     # points that actually went to disk or to the machine model.
     with telemetry.span(
-        "sweep.point", kernel=kernel, variant=variant, n=n
+        "sweep.point", kernel=kernel, variant=variant, n=n, key=key
     ) as sp:
-        cached = _load_cached(key)
-        if cached is not None:
+        report = disk_store.get("point", key, _decode_report)
+        if report is not MISS:
             telemetry.counter("sweep.cache.hit")
             sp.set(source="disk")
-            result = VariantMeasurement(kernel, variant, n, tile, cached, pipeline)
-            _memo[key] = result
-            return result
-        telemetry.counter("sweep.cache.miss")
-
-        report = measure_program(
-            program, kernel, n, config, engine_key=(kernel, variant, tile),
-            trace_mode=trace_mode,
-        )
-        _store_cached(key, report)
-        sp.set(source="computed")
+        else:
+            telemetry.counter("sweep.cache.miss")
+            report = measure_program(
+                program, kernel, n, config, engine_key=(kernel, variant, tile),
+                trace_mode=trace_mode,
+            )
+            disk_store.put("point", key, report.as_dict())
+            sp.set(source="computed")
         result = VariantMeasurement(kernel, variant, n, tile, report, pipeline)
         _memo[key] = result
         return result
+
+
+def _decode_report(data: dict) -> PerfReport:
+    return PerfReport(**data)
 
 
 def measure_program(
@@ -299,8 +249,8 @@ def _measure_point_worker(
     plus (when the parent is recording) the worker's serialized telemetry.
 
     Runs in a worker whose in-process memos were cleared by the pool
-    initializer; the measurement also lands in the shared disk cache (if
-    enabled) via the atomic writer. Telemetry is reset *per point* so a
+    initializer; the measurement also lands in the shared disk store (if
+    enabled). Telemetry is reset *per point* so a
     forking pool never re-exports inherited parent spans — the parent
     absorbs exactly one point's evidence per returned state.
     """
@@ -327,25 +277,22 @@ def measure_points(
     :func:`measure_variant` — exactly the historical code path. With
     more, the *unmemoised* points fan out across a
     ``ProcessPoolExecutor`` whose workers start with cleared in-process
-    memos (see :func:`clear_caches`) but share the disk cache; the
+    memos (see :func:`clear_caches`) but share the disk store; the
     parent then seeds its own memo from the workers' reports, so
     subsequent serial figure assembly reuses them byte-identically even
     with ``REPRO_NO_CACHE=1``.
     """
     points = [tuple(p) for p in points]
     jobs = resolve_jobs(jobs)
-    todo = []
-    for kernel, variant, n in dict.fromkeys(points):
-        tile = _tile_for(variant, n, config, None)
-        program, _, recipe = build_program(kernel, variant, tile=tile)
-        key = _point_key(kernel, variant, n, config, tile, program, recipe)
-        if key not in _memo:
-            todo.append((kernel, variant, n))
+    todo = {}
+    for point in dict.fromkeys(points):
+        resolved = _resolve_point(*point, config)
+        if resolved[3] not in _memo:
+            todo[point] = resolved
     if jobs > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
         with_telemetry = telemetry.enabled()
-        reports: dict[tuple[str, str, int], dict[str, float]] = {}
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(todo)), initializer=clear_caches
         ) as pool:
@@ -354,20 +301,14 @@ def measure_points(
                 for p in todo
             ]
             for fut in as_completed(futures):
-                point, data, state = fut.result()
-                reports[point] = data
+                (kernel, variant, n), data, state = fut.result()
+                tile, _, pipeline, key = todo[(kernel, variant, n)]
+                _memo[key] = VariantMeasurement(
+                    kernel, variant, n, tile, _decode_report(data), pipeline
+                )
                 # Fold each worker's spans/metrics into the parent so a
                 # parallel sweep yields one coherent trace.
                 telemetry.absorb(state)
-        for kernel, variant, n in todo:
-            tile = _tile_for(variant, n, config, None)
-            program, pipeline, recipe = build_program(kernel, variant, tile=tile)
-            key = _point_key(kernel, variant, n, config, tile, program, recipe)
-            if key not in _memo:
-                report = PerfReport(**reports[(kernel, variant, n)])
-                _memo[key] = VariantMeasurement(
-                    kernel, variant, n, tile, report, pipeline
-                )
     return [measure_variant(k, v, n, config) for k, v, n in points]
 
 

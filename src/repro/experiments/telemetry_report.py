@@ -103,13 +103,13 @@ def diff_metrics(base: dict[str, Any], new: dict[str, Any]) -> list[DiffRow]:
                 f"{b:.1%} -> {n:.1%}",
             )
         )
-    b_corrupt = base_c.get("sweep.cache.corrupt", 0)
-    n_corrupt = new_c.get("sweep.cache.corrupt", 0)
+    b_corrupt = base_c.get("cache.corrupt", 0)
+    n_corrupt = new_c.get("cache.corrupt", 0)
     if b_corrupt or n_corrupt:
         rows.append(
             DiffRow(
                 "cache",
-                "sweep.cache.corrupt",
+                "cache.corrupt",
                 b_corrupt,
                 n_corrupt,
                 n_corrupt > b_corrupt,
@@ -133,6 +133,7 @@ def diff_metrics(base: dict[str, Any], new: dict[str, Any]) -> list[DiffRow]:
         for k in set(base_c) | set(new_c)
         if not k.startswith("exec.fallback.")
         and not k.startswith("sweep.cache.")
+        and k != "cache.corrupt"
     )
     for name in other:
         rows.append(

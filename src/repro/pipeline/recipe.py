@@ -4,9 +4,9 @@ A :class:`VariantRecipe` is an ordered list of pass instances — the whole
 definition of a kernel variant. Because every pass describes itself as
 plain data, a recipe has a stable content **fingerprint**; combined with
 the fingerprint of the *emitted program* and of the machine/sweep
-configuration it yields the disk-cache key for measurements, replacing the
-hand-bumped version tags the runner used to carry (stale-cache hazard: a
-cost-semantics change that nobody remembered to bump past).
+configuration it yields the disk-store key for measurements. The key
+covers a measurement's inputs; the code that measures is covered by the
+store's source salt (:func:`repro.utils.caching.code_salt`).
 """
 
 from __future__ import annotations
@@ -73,19 +73,21 @@ def machine_fingerprint(machine) -> str:
 
 def measurement_fingerprint(
     recipe: VariantRecipe,
-    program: Program,
+    program_fp: str,
     machine,
     run_params: Mapping[str, Any],
 ) -> str:
-    """The disk-cache key core for one measurement.
+    """The disk-store key core for one measurement.
 
-    ``run_params`` carries everything else that determines the numbers:
-    problem size, tile edge, input seed, Jacobi's M, …
+    ``program_fp`` is the emitted program's :func:`program_fingerprint`
+    (callers compute it once per build). ``run_params`` carries everything
+    else that determines the numbers: problem size, tile edge, input seed,
+    Jacobi's M, …
     """
     return stable_hash(
         {
             "recipe": recipe.describe(),
-            "program": program_fingerprint(program),
+            "program": program_fp,
             "machine": machine_fingerprint(machine),
             "run": dict(run_params),
         },

@@ -5,17 +5,16 @@ projection, rational emptiness, integer feasibility, parametric lexmin)
 is a pure function of immutable inputs, so its result can be keyed by the
 inputs' structural fingerprints and reused:
 
-- **in process** through one capped LRU memo (`REPRO_POLY_MEMO_SIZE`,
-  default 65536 entries), shared by all operations and cleared by
-  :func:`clear_memos` (which `repro.experiments.clear_caches` calls, so
-  sweep-pool workers start from a clean slate);
-- **across processes** through a JSONL side file in the measurement disk
-  cache directory (``REPRO_CACHE_DIR``, default ``.repro_cache``) for the
+- **in process** through one capped LRU memo (65536 entries), shared by
+  all operations and cleared by :func:`clear_memos` (which
+  `repro.experiments.clear_caches` calls, so sweep-pool workers start
+  from a clean slate);
+- **across processes** through the shared disk store
+  (:data:`repro.utils.caching.disk_store`, in ``REPRO_CACHE_DIR``) for the
   operations whose results are cheap to serialise — feasibility verdicts,
   emptiness bits, lexmin solutions, projections, dependence-graph edges.
-  Appends are single ``write()`` calls so concurrent sweep workers can
-  share the file; unreadable lines are skipped (and counted), never
-  trusted.
+  The store's file name is salted with a digest of the ``repro`` source,
+  so an answer persisted by older analysis code is never read back.
 
 Negative results are cached too: a ``CaseSplitError`` raised by the
 parametric solver is as expensive to rediscover as a solution, and
@@ -28,9 +27,7 @@ differential oracle: an ``off`` build must produce byte-identical
 dependence graphs, FixDeps output and program hashes — asserted by
 ``tests/experiments/test_poly_cache_differential.py`` and a CI job.
 ``REPRO_NO_CACHE=1`` disables only the disk layer (same knob as the
-measurement cache). Bump :data:`DISK_FORMAT_VERSION` when an analysis
-algorithm changes its answers: fingerprints cover the *inputs* of an
-operation, not its implementation.
+measurement cache).
 """
 
 from __future__ import annotations
@@ -39,26 +36,18 @@ import hashlib
 import json
 import os
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Callable
 
 from repro import telemetry
 from repro.errors import CaseSplitError, PolyhedronError, UnboundedError
-from repro.utils.caching import LRUCache, disk_cache_dir
+from repro.utils.caching import MISS, LRUCache, disk_store
 
-#: Bump when FM / feasibility / lexmin semantics change, so persisted
-#: answers from older code are never read again (new filename).
-DISK_FORMAT_VERSION = 1
-
-_DEFAULT_MEMO_SIZE = 65536
+#: Capacity of the process-wide analysis LRU (entries, shared by all ops).
+_MEMO_SIZE = 65536
 
 #: Deterministic analysis failures worth caching (re-raised on hit).
 _CACHEABLE_ERRORS = (CaseSplitError, UnboundedError, PolyhedronError)
-_ERROR_BY_NAME = {
-    "CaseSplitError": CaseSplitError,
-    "UnboundedError": UnboundedError,
-    "PolyhedronError": PolyhedronError,
-}
+_ERROR_BY_NAME = {exc.__name__: exc for exc in _CACHEABLE_ERRORS}
 
 
 _enabled: bool | None = None
@@ -82,12 +71,7 @@ def caching_enabled() -> bool:
 
 
 def _memo_size() -> int:
-    raw = os.environ.get("REPRO_POLY_MEMO_SIZE", "")
-    try:
-        size = int(raw)
-    except ValueError:
-        size = 0
-    return size if size > 0 else _DEFAULT_MEMO_SIZE
+    return _MEMO_SIZE
 
 
 _memo: LRUCache = LRUCache(maxsize=_memo_size())
@@ -121,31 +105,41 @@ class _Raise:
         self.exc = exc
 
 
-def memoize(op: str, key: tuple, compute: Callable[[], Any]) -> Any:
-    """In-process memoisation of ``compute()`` under ``(op, *key)``.
+def memoize(
+    op: str,
+    key: tuple,
+    compute: Callable[[], Any],
+    codec: tuple[Callable[[Any], Any], Callable[[Any], Any]] | None = None,
+) -> Any:
+    """Memoisation of ``compute()`` under ``(op, *key)``, in process and,
+    given an ``(encode, decode)`` JSON *codec*, in the disk store.
 
     Deterministic analysis errors (:data:`_CACHEABLE_ERRORS`) are cached
-    and re-raised on later hits.
+    (on disk structurally) and re-raised on later hits.
     """
     if not caching_enabled():
         return compute()
     full = (op, *key)
-    try:
-        value = _memo[full]
-    except KeyError:
-        pass
-    else:
+    value = _memo.get(full, MISS)
+    if value is not MISS:
         _count(op, "hit")
-        if type(value) is _Raise:
-            raise value.exc
-        return value
-    _count(op, "miss")
-    try:
-        value = compute()
-    except _CACHEABLE_ERRORS as exc:
-        _memo[full] = _Raise(exc)
-        raise
-    _memo[full] = value
+    else:
+        if codec is not None:
+            disk_key = "|".join(str(part) for part in key)
+            value = disk_store.get(op, disk_key, lambda v: _decode(v, codec[1]))
+        if value is not MISS:
+            _count(op, "disk_hit")
+        else:
+            _count(op, "miss")
+            try:
+                value = compute()
+            except _CACHEABLE_ERRORS as exc:
+                value = _Raise(exc)
+            if codec is not None:
+                disk_store.put(op, disk_key, _encode(value, codec[0]))
+        _memo[full] = value
+    if type(value) is _Raise:
+        raise value.exc
     return value
 
 
@@ -157,103 +151,22 @@ def memoize_json(
     encode: Callable[[Any], Any],
     decode: Callable[[Any], Any],
 ) -> Any:
-    """Like :func:`memoize`, with a disk layer under the in-process memo.
-
-    ``encode``/``decode`` round-trip the result through JSON; cached
-    errors are encoded structurally and re-raised on disk hits as well.
-    """
-    if not caching_enabled():
-        return compute()
-    full = (op, *key)
-    try:
-        value = _memo[full]
-    except KeyError:
-        pass
-    else:
-        _count(op, "hit")
-        if type(value) is _Raise:
-            raise value.exc
-        return value
-    disk_key = op + "|" + "|".join(str(part) for part in key)
-    store = _disk_entries()
-    if store is not None and disk_key in store:
-        _count(op, "disk_hit")
-        telemetry.counter("poly.disk.hit")
-        payload = store[disk_key]
-        if isinstance(payload, dict) and "!exc" in payload:
-            exc = _ERROR_BY_NAME.get(payload["!exc"], PolyhedronError)(
-                payload.get("m", "")
-            )
-            _memo[full] = _Raise(exc)
-            raise exc
-        value = decode(payload)
-        _memo[full] = value
-        return value
-    _count(op, "miss")
-    try:
-        value = compute()
-    except _CACHEABLE_ERRORS as exc:
-        _memo[full] = _Raise(exc)
-        _disk_put(disk_key, {"!exc": type(exc).__name__, "m": str(exc)})
-        raise
-    _memo[full] = value
-    _disk_put(disk_key, encode(value))
-    return value
+    """:func:`memoize` with the disk layer: ``encode``/``decode``
+    round-trip the result through JSON."""
+    return memoize(op, key, compute, (encode, decode))
 
 
-# -- disk layer ------------------------------------------------------------
-
-_disk_path: Path | None = None
-_disk_cache: dict[str, Any] | None = None
-
-
-def _resolve_disk_path() -> Path | None:
-    base = disk_cache_dir()
-    return None if base is None else base / f"polymemo-v{DISK_FORMAT_VERSION}.jsonl"
+def _encode(value: Any, encode: Callable[[Any], Any]) -> Any:
+    if type(value) is _Raise:
+        return {"!exc": type(value.exc).__name__, "m": str(value.exc)}
+    return encode(value)
 
 
-def _disk_entries() -> dict[str, Any] | None:
-    """The persisted entry mapping (loaded once per resolved path)."""
-    global _disk_path, _disk_cache
-    path = _resolve_disk_path()
-    if path is None:
-        return None
-    if _disk_cache is not None and path == _disk_path:
-        return _disk_cache
-    entries: dict[str, Any] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                try:
-                    record = json.loads(line)
-                    entries[record["k"]] = record["v"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    # Torn concurrent append or manual edit: skip, count.
-                    telemetry.counter("poly.disk.corrupt")
-    except OSError:
-        pass
-    _disk_path = path
-    _disk_cache = entries
-    return entries
-
-
-def _disk_put(key: str, payload: Any) -> None:
-    store = _disk_entries()
-    if store is None or key in store:
-        return
-    store[key] = payload
-    path = _disk_path
-    assert path is not None
-    line = json.dumps({"k": key, "v": payload}, separators=(",", ":")) + "\n"
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # One write() call in append mode: concurrent sweep workers may
-        # interleave whole lines but never tear one another's entries
-        # apart in practice; the loader skips anything unparseable.
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-    except OSError:
-        pass
+def _decode(payload: Any, decode: Callable[[Any], Any]) -> Any:
+    if isinstance(payload, dict) and "!exc" in payload:
+        exc_type = _ERROR_BY_NAME.get(payload["!exc"], PolyhedronError)
+        return _Raise(exc_type(payload.get("m", "")))
+    return decode(payload)
 
 
 # -- lifecycle / stats -----------------------------------------------------
@@ -262,16 +175,15 @@ def _disk_put(key: str, payload: Any) -> None:
 def clear_memos() -> None:
     """Drop every in-process analysis memo and intern table.
 
-    The disk layer is untouched but will be re-read lazily, so a cleared
-    process (or a freshly forked sweep worker) observes exactly the
-    persisted state plus its own work.
+    The disk store's loaded view is dropped too (the file is untouched)
+    and re-read lazily, so a cleared process (or a freshly forked sweep
+    worker) observes exactly the persisted state plus its own work.
     """
-    global _memo, _disk_cache, _disk_path, _stats, _enabled
+    global _memo, _stats, _enabled
     _memo = LRUCache(maxsize=_memo_size())
     for cache in _registered:
         cache.clear()
-    _disk_cache = None
-    _disk_path = None
+    disk_store.forget()
     _stats = {}
     _enabled = None
 
@@ -288,7 +200,6 @@ def stats() -> dict[str, Any]:
         "ops": {op: dict(v) for op, v in sorted(_stats.items())},
         "totals": totals,
         "memo_entries": len(_memo),
-        "disk_entries": len(_disk_cache) if _disk_cache is not None else 0,
     }
 
 

@@ -11,7 +11,7 @@ Four consumers of the same span/metric data:
 - :func:`render_tree` — hierarchical aggregation of spans by name path
   (count, total/mean milliseconds), the "where did the time go" view;
 - :func:`render_summary` — the tree plus counters (with the block-tier
-  fallback and sweep-cache sections broken out) and histogram stats
+  fallback and cache sections broken out) and histogram stats
   (``summary.txt``).
 """
 
@@ -157,20 +157,23 @@ def _counter_section(title: str, items: list[tuple[str, float]]) -> list[str]:
 def render_summary(spans: list[Span], metrics: dict[str, Any]) -> str:
     """Human-readable run summary: span tree, counters, histograms.
 
-    Block-tier fallback reasons (``exec.fallback.*``) and sweep cache
-    behaviour (``sweep.cache.*`` with the derived hit rate) get their own
-    sections so regressions are visible at a glance.
+    Block-tier fallback reasons (``exec.fallback.*``) and cache
+    behaviour (``sweep.*`` and the disk store's ``cache.*``, with the
+    derived hit rate and the store salt of every ``cache.load``) get their
+    own sections so regressions are visible at a glance.
     """
     counters = dict(metrics.get("counters", {}))
     fallback = sorted(
         (k, v) for k, v in counters.items() if k.startswith("exec.fallback.")
     )
-    cache = sorted((k, v) for k, v in counters.items() if k.startswith("sweep."))
+    cache = sorted(
+        (k, v) for k, v in counters.items() if k.startswith(("sweep.", "cache."))
+    )
     poly = sorted((k, v) for k, v in counters.items() if k.startswith("poly."))
     other = sorted(
         (k, v)
         for k, v in counters.items()
-        if not k.startswith(("exec.fallback.", "sweep.", "poly."))
+        if not k.startswith(("exec.fallback.", "sweep.", "cache.", "poly."))
     )
 
     lines: list[str] = ["== span tree =="]
@@ -183,7 +186,10 @@ def render_summary(spans: list[Span], metrics: dict[str, Any]) -> str:
     misses = counters.get("sweep.cache.miss", 0)
     if hits + misses:
         lines.append(f"  disk-cache hit rate: {hits / (hits + misses):.1%}")
-    corrupt = counters.get("sweep.cache.corrupt", 0)
+    salts = sorted({s.attrs["salt"] for s in spans if s.name == "cache.load"})
+    if salts:
+        lines.append(f"  store salt: {', '.join(salts)}")
+    corrupt = counters.get("cache.corrupt", 0)
     if corrupt:
         lines.append(f"  WARNING: {corrupt:g} corrupt cache entries discarded")
     lines.append("")
@@ -192,9 +198,6 @@ def render_summary(spans: list[Span], metrics: dict[str, Any]) -> str:
     p_misses = counters.get("poly.memo.miss", 0)
     if p_hits + p_misses:
         lines.append(f"  poly-memo hit rate: {p_hits / (p_hits + p_misses):.1%}")
-    p_corrupt = counters.get("poly.disk.corrupt", 0)
-    if p_corrupt:
-        lines.append(f"  WARNING: {p_corrupt:g} corrupt poly-memo entries discarded")
     lines.append("")
     lines.extend(_counter_section("== other counters ==", other))
 

@@ -1,15 +1,19 @@
-"""Parallel sweep orchestration: worker pools, shared disk cache, atomic
-writes, and byte-identical figure output regardless of ``REPRO_JOBS``.
+"""Parallel sweep orchestration: worker pools, the shared disk store,
+corrupt-entry tolerance, and byte-identical figure output regardless of
+``REPRO_JOBS``.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
 
+from repro import telemetry
 from repro.experiments import figure5, runner
 from repro.experiments.sweep import default_config, resolve_jobs
+from repro.utils.caching import code_salt, disk_store
 
 
 def _config(sizes=(8,)):
@@ -32,39 +36,73 @@ class TestResolveJobs:
         assert resolve_jobs(-3) == 1
 
 
+def _no_measuring(monkeypatch):
+    """Make recomputation impossible: a point must come from the store."""
+
+    def boom(*a, **k):
+        raise AssertionError("should have been served from the disk store")
+
+    monkeypatch.setattr(runner, "measure_streaming", boom)
+    monkeypatch.setattr(runner, "measure", boom)
+
+
 class TestAtomicDiskCache:
-    @pytest.fixture
-    def cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        return tmp_path
+    """Reports round-trip through the disk store; a torn, wrong-schema or
+    unreadable entry is a counted miss that the sweep recomputes."""
 
     @pytest.fixture
     def report(self):
+        """The real report, measured with the disk store off."""
         runner.clear_caches()
         return runner.measure_variant("cholesky", "seq", 8, _config()).report
 
-    def test_store_load_roundtrip(self, cache_dir, report):
-        runner._store_cached("k1", report)
-        assert runner._load_cached("k1") == report
-        # The temp file must not survive the rename.
-        assert (cache_dir / "k1.json").exists()
-        assert not list(cache_dir.glob("*.tmp"))
+    @pytest.fixture
+    def store_path(self, report, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        runner.clear_caches()
+        telemetry.reset()
+        telemetry.enable()
+        yield tmp_path / f"store-{code_salt()}.jsonl"
+        telemetry.disable()
+        telemetry.reset()
 
-    def test_load_tolerates_truncated_json(self, cache_dir):
-        (cache_dir / "k2.json").write_text('{"total_cycles": 1')
-        assert runner._load_cached("k2") is None
+    def _plant(self, path, value, *, torn=False):
+        key = runner._resolve_point("cholesky", "seq", 8, _config())[3]
+        line = json.dumps({"k": f"point|{key}", "v": value})
+        path.write_text((line[:-2] if torn else line) + "\n")
 
-    def test_load_tolerates_oserror(self, cache_dir):
-        # A directory where the file should be: read_text raises
+    def _remeasure(self, report):
+        m = runner.measure_variant("cholesky", "seq", 8, _config())
+        assert m.report == report
+        return telemetry.counter_value("cache.corrupt")
+
+    def test_store_load_roundtrip(self, report, store_path, monkeypatch):
+        runner.measure_variant("cholesky", "seq", 8, _config())
+        # One append-only file, no temp files beside it.
+        assert [p.name for p in store_path.parent.iterdir()] == [store_path.name]
+        runner.clear_caches()
+        _no_measuring(monkeypatch)
+        assert self._remeasure(report) == 0
+
+    def test_load_tolerates_truncated_json(self, report, store_path):
+        self._plant(store_path, {"total_cycles": 1}, torn=True)
+        assert self._remeasure(report) == 1
+
+    def test_load_tolerates_oserror(self, report, store_path):
+        # A directory where the file should be: open() raises
         # IsADirectoryError (an OSError), which must mean "not cached",
-        # not a crashed sweep.
-        (cache_dir / "k3.json").mkdir()
-        assert runner._load_cached("k3") is None
+        # not a crashed sweep — for the read and for the append.
+        store_path.mkdir()
+        assert self._remeasure(report) == 1
 
-    def test_load_tolerates_wrong_schema(self, cache_dir):
-        (cache_dir / "k4.json").write_text('{"no_such_field": 1}')
-        assert runner._load_cached("k4") is None
+    def test_load_tolerates_wrong_schema(self, report, store_path, monkeypatch):
+        self._plant(store_path, {"no_such_field": 1})
+        assert self._remeasure(report) == 1
+        # The recomputed report was appended after the bad entry and wins.
+        runner.clear_caches()
+        _no_measuring(monkeypatch)
+        assert self._remeasure(report) == 1
 
 
 class TestMeasurePoints:
@@ -92,18 +130,17 @@ class TestMeasurePoints:
         assert again is m  # identity: memo hit, not a recomputation
 
     def test_workers_hit_cache_written_before(self, tmp_path, monkeypatch):
-        """A 2-job sweep serves points already in the shared disk cache:
+        """A 2-job sweep serves points already in the shared disk store:
         a sentinel report planted under the point's key comes back from
         the pool verbatim, proving workers read (not recompute) it."""
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         config = _config()
         runner.clear_caches()
-        real = runner.measure_variant("cholesky", "seq", 8, config)
+        real = runner.measure_variant("cholesky", "seq", 8, config)  # store off
         sentinel = replace(real.report, total_cycles=12345.0)
-        program, _, recipe = runner.build_program("cholesky", "seq")
-        key = runner._point_key("cholesky", "seq", 8, config, None, program, recipe)
-        runner._store_cached(key, sentinel)
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        key = runner._resolve_point("cholesky", "seq", 8, config)[3]
+        disk_store.put("point", key, sentinel.as_dict())
         runner.clear_caches()  # workers must go to disk, not inherit memos
         results = runner.measure_points(
             [("cholesky", "seq", 8), ("lu", "seq", 8)], config, jobs=2
@@ -122,14 +159,11 @@ class TestMeasurePoints:
         runner.measure_points(
             [("cholesky", "seq", 8), ("lu", "seq", 8)], config, jobs=2
         )
-        assert list(tmp_path.glob("*.json"))
+        [store] = tmp_path.glob("store-*.jsonl")
+        keys = [json.loads(line)["k"] for line in store.read_text().splitlines()]
+        assert sum(k.startswith("point|") for k in keys) == 2
         runner.clear_caches()
-
-        def boom(*a, **k):
-            raise AssertionError("should have been served from disk cache")
-
-        monkeypatch.setattr(runner, "measure_streaming", boom)
-        monkeypatch.setattr(runner, "measure", boom)
+        _no_measuring(monkeypatch)
         m = runner.measure_variant("cholesky", "seq", 8, config)
         assert m.report.total_cycles > 0
 

@@ -1,9 +1,10 @@
 """Content fingerprints: stability, sensitivity, and the runner's
-fingerprint-keyed disk cache."""
+fingerprint-keyed disk store."""
 
 import dataclasses
+import json
 
-from repro.experiments import clear_caches, measure_variant
+from repro.experiments import clear_caches, measure_variant, runner
 from repro.experiments.sweep import SweepConfig
 from repro.kernels.recipes import build_variant, get_recipe
 from repro.machine.configs import octane2_scaled
@@ -40,25 +41,34 @@ def test_machine_fingerprint_tracks_costs():
     recipe = get_recipe("cholesky", "seq")
     program = build_variant("cholesky", "seq")
     run = {"params": {"N": 12}, "tile": None, "seed": 0}
+    program_fp = program_fingerprint(program)
     assert measurement_fingerprint(
-        recipe, program, machine, run
-    ) != measurement_fingerprint(recipe, program, bumped, run)
+        recipe, program_fp, machine, run
+    ) != measurement_fingerprint(recipe, program_fp, bumped, run)
+
+
+def _point_keys(directory):
+    [store] = directory.glob("store-*.jsonl")
+    keys = [json.loads(line)["k"] for line in store.read_text().splitlines()]
+    return [k for k in keys if k.startswith("point|cholesky-seq-N12-")]
 
 
 def test_disk_cache_roundtrip_and_invalidation(tmp_path, monkeypatch):
-    """A second identical run reads the fingerprint-keyed file; a cost
-    model change auto-invalidates it (different filename, no stale read)."""
+    """A second identical run reads the fingerprint-keyed entry; a cost
+    model change auto-invalidates it (different key, no stale read)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     config = SweepConfig(
         machine=octane2_scaled(), sizes=(12,), jacobi_m=2, tile_policy="pdat"
     )
+    clear_caches()
     first = measure_variant("cholesky", "seq", 12, config)
-    files = list(tmp_path.glob("cholesky-seq-N12-*.json"))
-    assert len(files) == 1
+    assert len(_point_keys(tmp_path)) == 1
 
     clear_caches()
-    again = measure_variant("cholesky", "seq", 12, config)
+    with monkeypatch.context() as m:
+        m.setattr(runner, "measure_streaming", None)  # a disk hit or a crash
+        again = measure_variant("cholesky", "seq", 12, config)
     assert again.report == first.report
 
     clear_caches()
@@ -74,7 +84,7 @@ def test_disk_cache_roundtrip_and_invalidation(tmp_path, monkeypatch):
         dataclasses.replace(config, machine=bumped),
     )
     # new key on disk, and the numbers actually moved
-    assert len(list(tmp_path.glob("cholesky-seq-N12-*.json"))) == 2
+    assert len(_point_keys(tmp_path)) == 2
     assert changed.report.total_cycles != first.report.total_cycles
 
 

@@ -7,11 +7,13 @@ import pickle
 
 import pytest
 
+from repro import telemetry
 from repro.errors import CaseSplitError
 from repro.poly import memo
 from repro.poly.constraint import Constraint, Kind, eq0, ge, ge0, le
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
+from repro.utils.caching import code_salt
 
 i, j, N = LinExpr.var("i"), LinExpr.var("j"), LinExpr.var("N")
 
@@ -98,7 +100,7 @@ class TestDiskLayer:
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         memo.clear_memos()
-        self.path = tmp_path / f"polymemo-v{memo.DISK_FORMAT_VERSION}.jsonl"
+        self.path = tmp_path / f"store-{code_salt()}.jsonl"
 
     def test_round_trip_after_clear(self):
         p = _box()
@@ -136,11 +138,23 @@ class TestDiskLayer:
         memo.memoize_json("t", ("a",), lambda: 1, encode=int, decode=int)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write('{"k": "torn-entr\n')
+            fh.write('{"k": "t|b", "v": "not-an-int"}\n')
         memo.clear_memos()
-        assert (
-            memo.memoize_json("t", ("a",), lambda: 2, encode=int, decode=int)
-            == 1
-        )
+        telemetry.enable()
+        try:
+            assert (
+                memo.memoize_json("t", ("a",), lambda: 2, encode=int, decode=int)
+                == 1
+            )
+            # The undecodable entry is a miss, recomputed, not trusted.
+            assert (
+                memo.memoize_json("t", ("b",), lambda: 3, encode=int, decode=int)
+                == 3
+            )
+            assert telemetry.counter_value("cache.corrupt") == 2
+        finally:
+            telemetry.disable()
+            telemetry.reset()
 
     def test_no_cache_env_disables_disk(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")

@@ -84,16 +84,21 @@ class TestTextRenderers:
                 "exec.fallback.guard_rejected": 2,
                 "sweep.cache.hit": 3,
                 "sweep.cache.miss": 1,
-                "sweep.cache.corrupt": 1,
+                "cache.corrupt": 1,
                 "machine.sink.memory.chunks": 7,
             },
             "gauges": {"peak": 5.0},
             "histograms": {},
         }
-        text = render_summary(_spans(), metrics)
+        load = Span(
+            "cache.load", 0.5, 0.1, span_id=9, parent_id=None, pid=10, tid=1,
+            attrs={"salt": "0123abcd", "entries": 4},
+        )
+        text = render_summary(_spans() + [load], metrics)
         assert "== block-tier fallbacks ==" in text
         assert "exec.fallback.guard_rejected" in text
         assert "disk-cache hit rate: 75.0%" in text
+        assert "store salt: 0123abcd" in text
         assert "WARNING: 1 corrupt cache entries discarded" in text
         assert "machine.sink.memory.chunks" in text
         assert "== gauges ==" in text

@@ -11,6 +11,7 @@ from repro.experiments import runner
 from repro.experiments.sweep import default_config
 from repro.ir.builder import assign, idx, loop, sym
 from repro.ir.program import ArrayDecl, Program
+from repro.utils.caching import MISS, code_salt, disk_store
 
 
 def _config(sizes=(8,)):
@@ -150,11 +151,14 @@ class TestSweepCounters:
     ):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        (tmp_path / "bad.json").write_text('{"total_cycles": 1')
+        (tmp_path / f"store-{code_salt()}.jsonl").write_text(
+            '{"k": "point|bad", "v": {"total_cycles": 1\n'
+        )
+        runner.clear_caches()
         telemetry.enable()
-        with caplog.at_level("WARNING", logger="repro.sweep"):
-            assert runner._load_cached("bad") is None
-        assert telemetry.counter_value("sweep.cache.corrupt") == 1
+        with caplog.at_level("WARNING", logger="repro.cache"):
+            assert disk_store.get("point", "bad") is MISS
+        assert telemetry.counter_value("cache.corrupt") == 1
         assert "discarding unreadable entry" in caplog.text
 
     def test_disk_hit_tagged_on_span(self, tmp_path, monkeypatch):
@@ -168,7 +172,12 @@ class TestSweepCounters:
         runner.measure_variant("lu", "seq", 8, config)
         [point] = _spans("sweep.point")
         assert point.attrs["source"] == "disk"
+        assert point.attrs["key"].startswith("lu-seq-N8-")
         assert telemetry.counter_value("sweep.cache.hit") == 1
+        # Provenance: the store load records the code salt it read under.
+        [load] = _spans("cache.load")
+        assert load.attrs["salt"] == code_salt()
+        assert load.attrs["entries"] >= 1
 
 
 class TestParallelSweepMerge:

@@ -84,11 +84,11 @@ class TestDiff:
                 ("sweep.cache.hit", 8),
                 ("sweep.cache.miss", 2),
                 ("exec.fallback.guard_rejected", 1),
-                ("sweep.cache.corrupt", 1),
+                ("cache.corrupt", 1),
             ],
         )
         names = [r.name for r in regressions(diff_metrics(BASE, new))]
-        assert names == ["sweep.cache.corrupt"]
+        assert names == ["cache.corrupt"]
 
     def test_other_counters_informational(self):
         rows = diff_metrics(BASE, BASE)
